@@ -1,7 +1,7 @@
 GO ?= go
 
 # Micro-benchmarks compared by bench-baseline / bench-compare.
-BENCH_PATTERN  ?= BenchmarkSimWakeup|BenchmarkPoolPinHit|BenchmarkCursorScan|BenchmarkScanPipeline|BenchmarkTableScanBatch|BenchmarkChangedSince|BenchmarkGroupCommit|BenchmarkEncodeKeyPrefix|BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan
+BENCH_PATTERN  ?= BenchmarkSimWakeup|BenchmarkPoolPinHit|BenchmarkCursorScan|BenchmarkScanPipeline|BenchmarkTableScanBatch|BenchmarkChangedSince|BenchmarkGroupCommit|BenchmarkEncodeKeyPrefix|BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan|BenchmarkWALAppend|BenchmarkShipApply|BenchmarkHotKeyCommit
 BENCH_COUNT    ?= 10
 BENCH_BASELINE ?= bench-baseline.txt
 BENCH_NEW      ?= bench-new.txt
@@ -9,7 +9,7 @@ BENCH_NEW      ?= bench-new.txt
 # Chaos harness: number of seeds swept by `make chaos` / `make chaos-tpcc`.
 SEEDS ?= 25
 
-.PHONY: all build test test-race vet chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-baseline bench-compare check
+.PHONY: all build test test-race vet chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-fidelity bench-baseline bench-compare check
 
 all: check
 
@@ -80,8 +80,9 @@ chaos-quick:
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 2 -duration 20s -htap 4
 
 ## check: tier-1 verification in one command (build + vet + race-enabled
-## tests + a short crash-anywhere chaos sweep of both workloads)
-check: build vet test-race chaos-quick
+## tests + a short crash-anywhere chaos sweep of both workloads + the
+## benchmark's fidelity tests)
+check: build vet test-race chaos-quick bench-fidelity
 
 ## bench-quick: regenerate every paper figure once at CI scale
 bench-quick:
@@ -99,6 +100,13 @@ bench-analytics:
 	$(GO) test ./internal/chbench/ -v
 	$(GO) test -bench='BenchmarkFigHTAP' -benchtime=1x -run '^$$' -v .
 	$(GO) test -bench='BenchmarkHashJoin|BenchmarkMergeJoin|BenchmarkExchangeParallelScan' -benchmem -run '^$$' .
+
+## bench-fidelity: the benchmark's own tests — perfbench reproduces the
+## figures' runs exactly and its traced and untraced runs agree on every sim
+## metric. perfbench is a module of its own, so `go test ./...` never builds
+## it; host-cost changes that claim "simulation unchanged" are checked here
+bench-fidelity:
+	cd perfbench && $(GO) test .
 
 ## bench-baseline: record the micro-benchmark baseline bench-compare diffs
 ## against (run it on the old code before starting a change)

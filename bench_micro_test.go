@@ -8,6 +8,7 @@ import (
 	"wattdb/internal/btree"
 	"wattdb/internal/buffer"
 	"wattdb/internal/cc"
+	"wattdb/internal/cluster"
 	"wattdb/internal/exec"
 	"wattdb/internal/hw"
 	"wattdb/internal/keycodec"
@@ -709,6 +710,115 @@ func BenchmarkTableScanBatch(b *testing.B) {
 				return
 			}
 			drained += n
+		}
+	})
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkWALAppend measures the commit path's log append: encoding one
+// TPC-C-sized update record into the active segment. Segment buffers are
+// presized, so the only allocation is a new segment every ~100 appends;
+// allocs/op must stay 0 and B/op near the frame size. The log is made
+// durable and truncated every 1024 appends to keep memory flat.
+func BenchmarkWALAppend(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := wal.NewLog(env, benchNullDevice{})
+	key := keycodec.Int64Key(42)
+	before := make([]byte, 120)
+	after := make([]byte, 120)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Append(wal.Record{Type: wal.RecUpdate, Txn: cc.TxnID(i), Part: 1, Key: key, Before: before, After: after})
+		if i%1024 == 1023 {
+			l.SetupFlush()
+			l.TruncateBefore(l.TailLSN())
+		}
+	}
+}
+
+// BenchmarkShipApply measures data-replication delivery. Per op, an origin
+// appends one update and its commit, and both frames are delivered to its
+// two followers: a RecShip wrapper encoded into each follower's log, and an
+// apply to each follower's replica store. Replica stores retain every
+// frame, so the cluster is rebuilt off the clock every 2048 ops.
+func BenchmarkShipApply(b *testing.B) {
+	const window = 2048
+	payload := []byte("payload-of-a-replicated-row-0123456789")
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = keycodec.Int64Key(int64(i))
+	}
+	vals := make([][]byte, window)
+	for i := range vals {
+		vals[i] = table.EncodeValue(cc.Version{TS: cc.Timestamp(i + 1), Val: payload})
+	}
+	var env *sim.Env
+	var c *cluster.Cluster
+	rebuild := func() {
+		if env != nil {
+			env.Close()
+		}
+		env = sim.NewEnv(1)
+		cfg := cluster.DefaultConfig()
+		cfg.Nodes = 3
+		cfg.DataReplicas = 2
+		c = cluster.New(env, cfg)
+	}
+	rebuild()
+	defer func() { env.Close() }()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%window == 0 {
+			b.StopTimer()
+			rebuild()
+			b.StartTimer()
+		}
+		origin := c.Nodes[0].Log
+		txn := cc.TxnID(i + 1)
+		origin.Append(wal.Record{Type: wal.RecUpdate, Txn: txn, Part: 1, Key: keys[i%len(keys)], After: vals[i%window]})
+		origin.Append(wal.Record{Type: wal.RecCommit, Txn: txn})
+		c.SetupReplicationDrain()
+	}
+}
+
+// BenchmarkHotKeyCommit measures MVCC commits on one hot key (a TPC-C
+// district or warehouse row) while a long reader pins the vacuum watermark
+// for 1024 commits at a time, so the key's version chain grows to 1024
+// versions between vacuums. Commits append to the chain: ns/op and B/op
+// must not grow with the chain's length.
+func BenchmarkHotKeyCommit(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	oracle := cc.NewOracle()
+	vs := cc.NewVersionStore(env)
+	val := []byte("district-row-payload-0123456789")
+	const key = "district-1"
+	env.Spawn("committer", func(p *sim.Proc) {
+		var leaf *cc.Version
+		reader := oracle.Begin(cc.SnapshotIsolation)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%1024 == 1023 {
+				oracle.Abort(reader)
+				vs.GC(oracle.Watermark())
+				reader = oracle.Begin(cc.SnapshotIsolation)
+			}
+			txn := oracle.Begin(cc.SnapshotIsolation)
+			var leafTS cc.Timestamp
+			if leaf != nil {
+				leafTS = leaf.TS
+			}
+			if err := vs.AcquireWriteIntent(p, txn, key, leafTS, time.Second); err != nil {
+				b.Error(err)
+				return
+			}
+			vs.StagePending(txn, key, false, val)
+			v := vs.CommitKey(txn, key, leaf, oracle.CommitTS(txn))
+			oracle.SettleCommit(txn)
+			leaf = &v
 		}
 	})
 	if err := env.Run(); err != nil {

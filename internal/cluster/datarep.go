@@ -220,12 +220,13 @@ func (st *repStore) part(id table.PartID) *replicaPart {
 // applyFrame processes one shipped origin frame: retain the raw bytes, buffer
 // DML under its transaction, promote on commit, drop on abort, and install
 // base images immediately (they are logged before any DML on their keys).
-// The frame must be a stable copy — it is retained verbatim.
+// The frame must be a stable copy — it is retained verbatim, and the decoded
+// keys and versions alias it rather than copying it again.
 func (st *repStore) applyFrame(lsn uint64, frame []byte) {
 	if lsn <= st.maxLSN {
 		return // duplicate delivery (resync overlap)
 	}
-	rec, err := wal.DecodeFrame(frame)
+	rec, err := wal.DecodeFrameAlias(frame)
 	if err != nil {
 		return // never shipped: drains and resyncs skip damaged frames
 	}
@@ -292,7 +293,13 @@ func (rp *replicaPart) install(key []byte, v cc.Version) {
 // (tombstones included — ok distinguishes "no version" from a visible
 // tombstone, matching cc.VersionStore.VisibleVersion).
 func (rp *replicaPart) get(key []byte, snap cc.Timestamp) (cc.Version, bool) {
-	for _, v := range rp.vers[string(key)] {
+	return visibleAt(rp.vers[string(key)], snap)
+}
+
+// visibleAt returns the newest version of a newest-first chain with
+// TS <= snap.
+func visibleAt(chain []cc.Version, snap cc.Timestamp) (cc.Version, bool) {
+	for _, v := range chain {
 		if v.TS <= snap {
 			return v, true
 		}
@@ -311,7 +318,7 @@ func (rp *replicaPart) scan(lo, hi []byte, snap cc.Timestamp, fn func(k, v []byt
 		if hi != nil && ks >= string(hi) {
 			return
 		}
-		v, ok := rp.get([]byte(ks), snap)
+		v, ok := visibleAt(rp.vers[ks], snap)
 		if !ok || v.Deleted {
 			continue
 		}
@@ -347,7 +354,7 @@ func (c *Cluster) EnableDataReplication(replicas int) {
 			drained:   sim.NewSignal(c.Env),
 		}
 		node.stores = make(map[int]*repStore)
-		node.Log.SetAppendHook(func(rec *wal.Record, frame []byte) {
+		node.Log.SetAppendHook(func(rec wal.Record, frame []byte) {
 			if !wal.Shippable(rec.Type) {
 				return
 			}
@@ -407,12 +414,11 @@ func (sh *shipState) updatePin(l *wal.Log) {
 }
 
 // applyToFollower delivers one origin frame to follower f: a RecShip wrapper
-// on f's log (Part carries the origin ID) and an immediate replica-store
-// apply. frame must be a stable copy.
+// on f's log (Part carries the origin ID), encoded in place from frame, and
+// an immediate replica-store apply. frame must be a stable copy.
 func (c *Cluster) applyToFollower(f, origin *DataNode, lsn uint64, frame []byte) {
-	payload := wal.EncodeShipFrame(nil, &wal.ShipFrame{
+	wl := f.Log.AppendShip(&wal.ShipFrame{
 		Origin: uint32(origin.ID), LSN: lsn, Gen: origin.ship.rebuildGen, Frame: frame})
-	wl := f.Log.Append(wal.Record{Type: wal.RecShip, Part: uint64(origin.ID), After: payload})
 	origin.ship.wrapLSN[f.ID] = wl
 	st := f.stores[origin.ID]
 	if st == nil {
@@ -425,9 +431,8 @@ func (c *Cluster) applyToFollower(f, origin *DataNode, lsn uint64, frame []byte)
 // applyReset opens a wholesale resync of origin's stream at follower f: a
 // reset wrapper on f's log, and a fresh replica store.
 func (c *Cluster) applyReset(f, origin *DataNode) {
-	payload := wal.EncodeShipFrame(nil, &wal.ShipFrame{
+	wl := f.Log.AppendShip(&wal.ShipFrame{
 		Origin: uint32(origin.ID), Gen: origin.ship.rebuildGen, Reset: true})
-	wl := f.Log.Append(wal.Record{Type: wal.RecShip, Part: uint64(origin.ID), After: payload})
 	origin.ship.wrapLSN[f.ID] = wl
 	f.stores[origin.ID] = newRepStore()
 }

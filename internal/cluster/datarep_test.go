@@ -9,6 +9,7 @@ import (
 	"wattdb/internal/keycodec"
 	"wattdb/internal/sim"
 	"wattdb/internal/table"
+	"wattdb/internal/wal"
 )
 
 // newRepCluster is newTestCluster with per-node WAL shipping enabled: every
@@ -342,4 +343,147 @@ func TestDiskLossDuringMigration(t *testing.T) {
 		oracle[int64(n/2)] = "moved-then-rebuilt"
 	})
 	tc.verifyOracle(t, oracle)
+}
+
+// replicaImage is a deep copy of one follower's replica of an origin: the
+// retained raw frames and every key's full version chain.
+type replicaImage struct {
+	frames map[uint64]string
+	chains map[string]string
+}
+
+func imageOf(st *repStore) replicaImage {
+	img := replicaImage{frames: make(map[uint64]string), chains: make(map[string]string)}
+	for lsn, fr := range st.frames {
+		img.frames[lsn] = string(fr)
+	}
+	for id, rp := range st.parts {
+		for _, ks := range rp.keys {
+			var chain []byte
+			for _, v := range rp.vers[ks] {
+				chain = fmt.Appendf(chain, "%d/%v/%x;", v.TS, v.Deleted, v.Val)
+			}
+			img.chains[fmt.Sprintf("%d/%x", id, ks)] = string(chain)
+		}
+	}
+	return img
+}
+
+func (a replicaImage) diff(b replicaImage) string {
+	if len(a.frames) != len(b.frames) || len(a.chains) != len(b.chains) {
+		return fmt.Sprintf("%d frames / %d keys became %d / %d", len(a.frames), len(a.chains), len(b.frames), len(b.chains))
+	}
+	for lsn, fr := range a.frames {
+		if b.frames[lsn] != fr {
+			return fmt.Sprintf("retained frame %d changed", lsn)
+		}
+	}
+	for k, ch := range a.chains {
+		if b.chains[k] != ch {
+			return fmt.Sprintf("version chain of %s changed: %s -> %s", k, ch, b.chains[k])
+		}
+	}
+	return ""
+}
+
+// TestFollowerCopiesSurviveOriginRot pins the ownership of shipped bytes:
+// followers' retained frames and the versions decoded from them (which
+// alias those frames) must not share memory with the origin's log. Bit rot
+// on the origin's segments and the scrubber's in-place repair of it leave
+// every follower's replica, and so every follower read, unchanged.
+func TestFollowerCopiesSurviveOriginRot(t *testing.T) {
+	const n = 200
+	tc := newRepCluster(t, table.Physiological, 4, n)
+	defer tc.env.Close()
+	origin := tc.c.Nodes[1]
+	images := func() map[int]replicaImage {
+		out := make(map[int]replicaImage)
+		for _, f := range tc.c.followersOf(origin.ID) {
+			if st := f.stores[origin.ID]; st != nil {
+				out[f.ID] = imageOf(st)
+			}
+		}
+		return out
+	}
+	compare := func(stage string, before, after map[int]replicaImage) {
+		t.Helper()
+		if len(before) != len(after) {
+			t.Fatalf("%s: %d replicas became %d", stage, len(before), len(after))
+		}
+		for id, img := range before {
+			if d := img.diff(after[id]); d != "" {
+				t.Fatalf("%s: follower %d: %s", stage, id, d)
+			}
+		}
+	}
+	tc.run(t, func(p *sim.Proc) {
+		for i := 0; i < 60; i++ {
+			tc.put(t, p, origin, int64(n/2+i%40), fmt.Sprintf("upd-%d", i))
+		}
+		tc.c.DrainShipQueues(p)
+		before := images()
+		if len(before) == 0 {
+			t.Fatal("origin has no replicas")
+		}
+		for pick := 0; pick < 64; pick++ {
+			origin.Log.FlipFlushedBit(pick*7919, nil)
+		}
+		rotted := len(origin.Log.CheckFlushed())
+		if rotted == 0 {
+			t.Fatal("no frame rotted")
+		}
+		compare("after bit rot", before, images())
+		if repaired := tc.c.ScrubPass(p); repaired != rotted {
+			t.Fatalf("scrubber repaired %d of %d rotted frames", repaired, rotted)
+		}
+		if bad := origin.Log.CheckFlushed(); len(bad) != 0 {
+			t.Fatalf("frames %v still rotted after the scrub", bad)
+		}
+		compare("after repair", before, images())
+	})
+	tc.verifyOracle(t, func() map[int64]string {
+		want := make(map[int64]string)
+		for i := int64(0); i < n; i++ {
+			want[i] = fmt.Sprintf("val-%06d", i)
+		}
+		for i := 0; i < 60; i++ {
+			want[int64(n/2+i%40)] = fmt.Sprintf("upd-%d", i)
+		}
+		return want
+	}())
+}
+
+// TestShipDeliveryAllocs pins the cost of one applyToFollower delivery: the
+// RecShip wrapper is encoded straight into the follower's segment and the
+// replica store decodes its retained frame without copying, so a delivery
+// allocates only the store's own bookkeeping (a transaction's staged-write
+// list, a newly seen key).
+func TestShipDeliveryAllocs(t *testing.T) {
+	tc := newRepCluster(t, table.Physiological, 4, 100)
+	defer tc.env.Close()
+	origin, f := tc.c.Nodes[1], tc.c.Nodes[2]
+	const runs = 200
+	payload := []byte("payload-of-a-replicated-row")
+	sh := origin.ship
+	first := len(sh.queue)
+	for i := 0; i < runs+2; i++ {
+		txn := cc.TxnID(1<<40 + i/2)
+		if i%2 == 0 {
+			origin.Log.Append(wal.Record{Type: wal.RecUpdate, Txn: txn, Part: 1, Key: ik(int64(i / 2 % 16)),
+				After: table.EncodeValue(cc.Version{TS: cc.Timestamp(1<<40 + i), Val: payload})})
+		} else {
+			origin.Log.Append(wal.Record{Type: wal.RecCommit, Txn: txn})
+		}
+	}
+	items := sh.queue[first:]
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		it := items[next]
+		next++
+		tc.c.applyToFollower(f, origin, it.lsn, it.frame)
+	})
+	t.Logf("%.2f objects per delivery", allocs)
+	if allocs > 1 {
+		t.Fatalf("one delivery allocates %.1f objects, want <= 1", allocs)
+	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -37,6 +38,17 @@ const (
 // EncodeRecord appends r's wire encoding to dst and returns the extended
 // slice.
 func EncodeRecord(dst []byte, r *Record) []byte {
+	dst = appendRecordHeader(dst, r, len(r.After), r.After != nil)
+	dst = append(dst, r.Key...)
+	dst = append(dst, r.Before...)
+	return append(dst, r.After...)
+}
+
+// appendRecordHeader appends r's fixed header to dst, describing an After
+// image of afterLen bytes (present unless hasAfter is false) that the caller
+// appends after r's Key and Before — in-place encoders write the image
+// straight into the log segment instead of staging it in a slice first.
+func appendRecordHeader(dst []byte, r *Record, afterLen int, hasAfter bool) []byte {
 	var hdr [recHeaderSize]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], r.LSN)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(r.Txn))
@@ -46,7 +58,7 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 	if r.Before != nil {
 		hdr[33] |= recFlagBefore
 	}
-	if r.After != nil {
+	if hasAfter {
 		hdr[33] |= recFlagAfter
 	}
 	if r.Key != nil {
@@ -54,17 +66,28 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 	}
 	binary.LittleEndian.PutUint32(hdr[34:38], uint32(len(r.Key)))
 	binary.LittleEndian.PutUint32(hdr[38:42], uint32(len(r.Before)))
-	binary.LittleEndian.PutUint32(hdr[42:46], uint32(len(r.After)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, r.Key...)
-	dst = append(dst, r.Before...)
-	dst = append(dst, r.After...)
-	return dst
+	binary.LittleEndian.PutUint32(hdr[42:46], uint32(afterLen))
+	return append(dst, hdr[:]...)
 }
 
 // DecodeRecord parses one record from the front of buf, returning the
-// record and the remaining bytes. Decoded slices are copies, not aliases.
+// record and the remaining bytes. Decoded slices are copies, not aliases
+// (nil slices stay nil).
 func DecodeRecord(buf []byte) (Record, []byte, error) {
+	r, rest, err := decodeRecordAlias(buf)
+	if err != nil {
+		return Record{}, nil, err
+	}
+	r.Key = bytes.Clone(r.Key)
+	r.Before = bytes.Clone(r.Before)
+	r.After = bytes.Clone(r.After)
+	return r, rest, nil
+}
+
+// decodeRecordAlias is DecodeRecord without the copies: the record's slices
+// alias buf, capacity-limited so an append to one never scribbles over its
+// neighbour. The caller must not retain them past buf's next mutation.
+func decodeRecordAlias(buf []byte) (Record, []byte, error) {
 	if len(buf) < recHeaderSize {
 		return Record{}, nil, fmt.Errorf("wal: record header truncated (%d bytes)", len(buf))
 	}
@@ -91,17 +114,17 @@ func DecodeRecord(buf []byte) (Record, []byte, error) {
 		return Record{}, nil, fmt.Errorf("wal: record body truncated (want %d, have %d)", total, len(body))
 	}
 	if flags&recFlagKey != 0 {
-		r.Key = append([]byte{}, body[:kLen]...)
+		r.Key = body[:kLen:kLen]
 	} else if kLen != 0 {
 		return Record{}, nil, fmt.Errorf("wal: %d key bytes on a record flagged key=nil", kLen)
 	}
 	if flags&recFlagBefore != 0 {
-		r.Before = append([]byte{}, body[kLen:kLen+bLen]...)
+		r.Before = body[kLen : kLen+bLen : kLen+bLen]
 	} else if bLen != 0 {
 		return Record{}, nil, fmt.Errorf("wal: %d before bytes on a record flagged before=nil", bLen)
 	}
 	if flags&recFlagAfter != 0 {
-		r.After = append([]byte{}, body[kLen+bLen:total]...)
+		r.After = body[kLen+bLen : total : total]
 	} else if aLen != 0 {
 		return Record{}, nil, fmt.Errorf("wal: %d after bytes on a record flagged after=nil", aLen)
 	}
@@ -126,7 +149,12 @@ const maxFramePayload = 1 << 28
 func appendFrame(dst []byte, r *Record) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHeaderSize)...)
-	dst = EncodeRecord(dst, r)
+	return sealFrame(EncodeRecord(dst, r), start)
+}
+
+// sealFrame fills in the header of the frame that starts at dst[start] and
+// runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
 	payload := dst[start+frameHeaderSize:]
 	binary.LittleEndian.PutUint32(dst[start:start+4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+4:start+8], crc32.ChecksumIEEE(payload))
@@ -137,7 +165,17 @@ func appendFrame(dst []byte, r *Record) []byte {
 // record and the number of bytes consumed. A truncated header or payload, a
 // CRC mismatch, or a payload that does not decode to exactly one record all
 // fail — the caller treats the failure point as the end of the valid log.
-func decodeFrame(buf []byte) (Record, int, error) {
+// Decoded slices are copies, not aliases.
+func decodeFrame(buf []byte) (Record, int, error) { return decodeFrameWith(buf, DecodeRecord) }
+
+// decodeFrameAlias is decodeFrame with the record's slices aliasing buf (see
+// decodeRecordAlias) — for callers that only inspect the record, or that
+// retain buf itself unchanged for as long as the record.
+func decodeFrameAlias(buf []byte) (Record, int, error) {
+	return decodeFrameWith(buf, decodeRecordAlias)
+}
+
+func decodeFrameWith(buf []byte, decode func([]byte) (Record, []byte, error)) (Record, int, error) {
 	if len(buf) < frameHeaderSize {
 		return Record{}, 0, fmt.Errorf("wal: frame header torn (%d bytes)", len(buf))
 	}
@@ -152,7 +190,7 @@ func decodeFrame(buf []byte) (Record, int, error) {
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(buf[4:8]); got != want {
 		return Record{}, 0, fmt.Errorf("wal: frame CRC mismatch (%#x != %#x)", got, want)
 	}
-	rec, rest, err := DecodeRecord(payload)
+	rec, rest, err := decode(payload)
 	if err != nil {
 		return Record{}, 0, err
 	}
@@ -164,8 +202,17 @@ func decodeFrame(buf []byte) (Record, int, error) {
 
 // DecodeFrame parses exactly one framed record occupying the whole of buf —
 // the replication layer's entry point for decoding a shipped frame copy.
-func DecodeFrame(buf []byte) (Record, error) {
-	rec, n, err := decodeFrame(buf)
+// Decoded slices are copies, not aliases.
+func DecodeFrame(buf []byte) (Record, error) { return wholeFrame(buf, decodeFrame) }
+
+// DecodeFrameAlias is DecodeFrame without the copies: the record's slices
+// alias buf (capacity-limited). A follower's replica store decodes its
+// retained, never-mutated frame copies this way, so the versions it
+// installs share the retained bytes instead of duplicating them.
+func DecodeFrameAlias(buf []byte) (Record, error) { return wholeFrame(buf, decodeFrameAlias) }
+
+func wholeFrame(buf []byte, decode func([]byte) (Record, int, error)) (Record, error) {
+	rec, n, err := decode(buf)
 	if err != nil {
 		return Record{}, err
 	}
@@ -182,7 +229,7 @@ func DecodeFrame(buf []byte) (Record, error) {
 func ValidPrefix(buf []byte) int {
 	off := 0
 	for off < len(buf) {
-		_, n, err := decodeFrame(buf[off:])
+		_, n, err := decodeFrameAlias(buf[off:])
 		if err != nil {
 			break
 		}

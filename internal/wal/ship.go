@@ -69,6 +69,18 @@ func EncodeShipFrame(dst []byte, f *ShipFrame) []byte {
 	return dst
 }
 
+// appendShipWrapper appends the framed RecShip record r (no Key, no Before)
+// whose After image is f's ship payload, encoding the payload in place: the
+// bytes equal appendFrame of r with After = EncodeShipFrame(nil, f), but
+// the payload — and the origin frame inside it — is never staged in a slice
+// of its own first.
+func appendShipWrapper(dst []byte, r *Record, f *ShipFrame) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	dst = appendRecordHeader(dst, r, shipHeaderSize+len(f.Frame), true)
+	return sealFrame(EncodeShipFrame(dst, f), start)
+}
+
 // DecodeShipFrame parses one ship payload occupying the whole of buf.
 // Decoded slices are copies, not aliases.
 func DecodeShipFrame(buf []byte) (*ShipFrame, error) {

@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"testing"
+
+	"wattdb/internal/sim"
 )
 
 // FuzzShipRoundTrip checks the replication-stream codec: a ship payload must
@@ -36,6 +38,23 @@ func FuzzShipRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(out.Frame, in.Frame) {
 			t.Fatalf("frame bytes = %x, want %x", out.Frame, in.Frame)
+		}
+		// A log's in-place wrapper must be byte-identical to framing a
+		// RecShip record around the staged payload.
+		env := sim.NewEnv(1)
+		defer env.Close()
+		l := NewLog(env, &countingDevice{})
+		var got []byte
+		l.SetAppendHook(func(rec Record, frame []byte) {
+			if rec.Type != RecShip || rec.Part != uint64(in.Origin) || !bytes.Equal(rec.After, EncodeShipFrame(nil, in)) {
+				t.Fatalf("hook saw %+v", rec)
+			}
+			got = frame
+		})
+		l.AppendShip(in)
+		want := appendFrame(nil, &Record{LSN: 1, Type: RecShip, Part: uint64(in.Origin), After: EncodeShipFrame(nil, in)})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("in-place wrapper = %x, want %x", got, want)
 		}
 		if len(in.Frame) > 0 {
 			// Decoded slices must be copies: scribbling over the encoding

@@ -144,6 +144,11 @@ func (d ShippedDevice) Append(p *sim.Proc, bytes int64) {
 // TruncateBefore recycles whole sealed segments.
 const DefaultSegmentBytes = 32 << 10
 
+// segHeadroom is the capacity a new segment buffer gets beyond the seal
+// threshold: the frame that crosses the threshold still fits, so a segment
+// buffer is allocated once and its bytes are never re-copied by growth.
+const segHeadroom = 4 << 10
+
 // logSegment is one contiguous run of encoded record frames. firstLSN and
 // ends form the LSN-to-offset mapping: record firstLSN+i occupies
 // buf[ends[i-1]:ends[i]] (ends[-1] = 0). buf may additionally hold torn
@@ -190,7 +195,7 @@ type Log struct {
 	// onAppend, when set, observes every record the moment Append frames it.
 	// The frame slice aliases the segment buffer — the hook must copy if it
 	// retains the bytes (a later FlipFlushedBit would corrupt a live alias).
-	onAppend func(rec *Record, frame []byte)
+	onAppend func(rec Record, frame []byte)
 
 	// lostDurable is set by Restart when the CRC scan truncated below the
 	// pre-crash flushed boundary (bit rot inside acked history, or a wiped
@@ -231,29 +236,72 @@ func (l *Log) Append(rec Record) uint64 {
 		return l.flushedLSN
 	}
 	rec.LSN = l.nextLSN
-	l.nextLSN++
-	var s *logSegment
-	if n := len(l.segs); n > 0 && !l.forceNew && len(l.segs[n-1].buf) < l.segBytes {
-		s = l.segs[n-1]
-	} else {
-		s = &logSegment{firstLSN: rec.LSN}
-		l.segs = append(l.segs, s)
-		l.forceNew = false
-	}
+	s := l.tail(rec.LSN, int(rec.FrameSize()))
 	start := len(s.buf)
 	s.buf = appendFrame(s.buf, &rec)
-	s.ends = append(s.ends, len(s.buf))
-	l.pendingBytes += int64(len(s.buf) - start)
+	return l.appended(s, start, rec)
+}
+
+// AppendShip appends a RecShip wrapper carrying f (Part = f.Origin) and
+// returns its LSN. The ship payload is encoded straight into the active
+// segment, so the wrapped origin frame is copied exactly once; the bytes
+// equal those of Append with After = EncodeShipFrame(nil, f).
+func (l *Log) AppendShip(f *ShipFrame) uint64 {
+	if l.down {
+		return l.flushedLSN
+	}
+	rec := Record{LSN: l.nextLSN, Type: RecShip, Part: uint64(f.Origin)}
+	payload := shipHeaderSize + len(f.Frame)
+	s := l.tail(rec.LSN, frameHeaderSize+recHeaderSize+payload)
+	start := len(s.buf)
+	s.buf = appendShipWrapper(s.buf, &rec, f)
+	end := len(s.buf)
+	rec.After = s.buf[end-payload : end : end]
+	return l.appended(s, start, rec)
+}
+
+// tail returns the segment the next frame (lsn, n bytes) goes to, opening
+// a new one once the active segment reached the seal threshold. A new
+// segment's buffer is presized to the threshold plus headroom (or the frame,
+// if larger), and its offset table to the previous segment's frame count.
+func (l *Log) tail(lsn uint64, n int) *logSegment {
+	k := len(l.segs)
+	if k > 0 && !l.forceNew && len(l.segs[k-1].buf) < l.segBytes {
+		return l.segs[k-1]
+	}
+	frames := 16
+	if k > 0 {
+		frames = max(frames, len(l.segs[k-1].ends)*5/4)
+	}
+	s := &logSegment{
+		firstLSN: lsn,
+		buf:      make([]byte, 0, max(l.segBytes+segHeadroom, n)),
+		ends:     make([]int, 0, frames),
+	}
+	l.segs = append(l.segs, s)
+	l.forceNew = false
+	return s
+}
+
+// appended records the frame just encoded at s.buf[start:] as rec's and
+// hands it to the append hook.
+func (l *Log) appended(s *logSegment, start int, rec Record) uint64 {
+	l.nextLSN++
+	end := len(s.buf)
+	s.ends = append(s.ends, end)
+	l.pendingBytes += int64(end - start)
 	if l.onAppend != nil {
-		l.onAppend(&rec, s.buf[start:])
+		l.onAppend(rec, s.buf[start:end:end])
 	}
 	return rec.LSN
 }
 
 // SetAppendHook installs a callback observing every framed append (the
-// data-replication ship queue). The frame slice passed to the hook aliases
-// the segment buffer; the hook must copy it if retained.
-func (l *Log) SetAppendHook(fn func(rec *Record, frame []byte)) { l.onAppend = fn }
+// data-replication ship queue). The record's slices are the caller's (a
+// RecShip wrapper's After aliases the segment), and the frame slice aliases
+// the segment buffer, capacity-limited to the frame; the hook must copy
+// either if retained.
+func (l *Log) SetAppendHook(fn func(rec Record, frame []byte)) { l.onAppend = fn }
 
 // PinBefore sets the truncation fence: every record with LSN >= lsn is
 // retained no matter what TruncateBefore asks for. The replication layer
@@ -428,7 +476,7 @@ scan:
 		s.ends = s.ends[:0]
 		first := true
 		for off < len(s.buf) {
-			rec, n, err := decodeFrame(s.buf[off:])
+			rec, n, err := decodeFrameAlias(s.buf[off:])
 			if err == nil && lastValid > 0 && rec.LSN <= lastValid {
 				err = fmt.Errorf("wal: LSN %d not above %d", rec.LSN, lastValid)
 			}
@@ -523,27 +571,13 @@ func (l *Log) CheckFlushed() []uint64 {
 			if lsn > l.flushedLSN {
 				break
 			}
-			rec, n, err := decodeFrame(frame)
+			rec, n, err := decodeFrameAlias(frame)
 			if err != nil || n != len(frame) || rec.LSN != lsn {
 				bad = append(bad, lsn)
 			}
 		}
 	}
 	return bad
-}
-
-// FrameBytes returns a copy of the raw frame stored at lsn (nil when the
-// record is not retained). The replication layer ships exactly these bytes.
-func (l *Log) FrameBytes(lsn uint64) []byte {
-	s, idx := l.locate(lsn)
-	if s == nil {
-		return nil
-	}
-	start := 0
-	if idx > 0 {
-		start = s.ends[idx-1]
-	}
-	return append([]byte{}, s.buf[start:s.ends[idx]]...)
 }
 
 // PatchFrame overwrites the frame stored at lsn with frame — the scrubber's
@@ -562,7 +596,7 @@ func (l *Log) PatchFrame(lsn uint64, frame []byte) bool {
 	if len(frame) != s.ends[idx]-start {
 		return false
 	}
-	rec, n, err := decodeFrame(frame)
+	rec, n, err := decodeFrameAlias(frame)
 	if err != nil || n != len(frame) || rec.LSN != lsn {
 		return false
 	}
@@ -598,7 +632,7 @@ func (l *Log) FlipFlushedBit(pick int, eligible func(lsn uint64) bool) uint64 {
 			if lsn > l.flushedLSN {
 				break
 			}
-			rec, _, err := decodeFrame(frame)
+			rec, _, err := decodeFrameAlias(frame)
 			if err != nil || !Shippable(rec.Type) {
 				continue // already damaged, or a frame no replica holds
 			}

@@ -139,6 +139,66 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
+// TestAppendSteadyStateAllocs pins the commit path's log append: inside an
+// open segment, encoding a record allocates nothing. The segment buffer and
+// its offset table are presized when the segment opens, and the record
+// reaches the append hook by value, so it never escapes to the heap.
+func TestAppendSteadyStateAllocs(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := NewLog(env, &countingDevice{})
+	hooked := 0
+	l.SetAppendHook(func(rec Record, frame []byte) {
+		if cap(frame) != len(frame) {
+			t.Fatalf("hook frame exposes %d bytes of spare segment capacity", cap(frame)-len(frame))
+		}
+		hooked++
+	})
+	val := make([]byte, 60)
+	rec := Record{Type: RecUpdate, Txn: 7, Part: 1, Key: []byte("district-0001"), Before: val, After: val}
+	// Fill the first segment, so the second one's offset table is sized
+	// from its frame count.
+	for len(l.segs) < 2 {
+		l.Append(rec)
+	}
+	allocs := testing.AllocsPerRun(100, func() { l.Append(rec) })
+	if len(l.segs) != 2 {
+		t.Fatalf("measured appends spilled into segment %d", len(l.segs))
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state Append allocates %.1f objects, want 0", allocs)
+	}
+	if hooked != int(l.TailLSN()-1) {
+		t.Fatalf("hook saw %d appends, want %d", hooked, l.TailLSN()-1)
+	}
+}
+
+// TestSegmentBuffersPresized checks that every segment buffer is allocated
+// once, at the seal threshold plus headroom: the frame that crosses the
+// threshold fits, so no segment ever regrows (and re-copies) its bytes. A
+// frame larger than the headroom opens its segment at its own size.
+func TestSegmentBuffersPresized(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	l := NewLog(env, &countingDevice{})
+	val := make([]byte, 300)
+	for len(l.segs) < 4 {
+		l.Append(Record{Type: RecUpdate, Txn: 1, Part: 1, Key: []byte("k"), After: val})
+	}
+	for i, s := range l.segs {
+		if cap(s.buf) != DefaultSegmentBytes+segHeadroom {
+			t.Fatalf("segment %d: capacity %d, want %d", i, cap(s.buf), DefaultSegmentBytes+segHeadroom)
+		}
+	}
+	l.forceNew = true
+	big := make([]byte, DefaultSegmentBytes+2*segHeadroom)
+	lsn := l.Append(Record{Type: RecBase, Part: 1, Key: []byte("k"), After: big})
+	s := l.segs[len(l.segs)-1]
+	if s.firstLSN != lsn || len(s.buf) != cap(s.buf) {
+		t.Fatalf("oversized frame: segment len %d cap %d, want one exact-size buffer", len(s.buf), cap(s.buf))
+	}
+}
+
 func TestCheckpointAndTruncateRecyclesSegments(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
