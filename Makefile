@@ -9,13 +9,17 @@ BENCH_NEW      ?= bench-new.txt
 # Chaos harness: number of seeds swept by `make chaos` / `make chaos-tpcc`.
 SEEDS ?= 25
 
-.PHONY: all build test test-race vet chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-quick bench-micro bench-analytics bench-fidelity bench-baseline bench-compare check
+.PHONY: all build fmt test test-race vet chaos chaos-tpcc chaos-coord chaos-ship chaos-rto chaos-htap chaos-quick bench-smoke bench-quick bench-micro bench-analytics bench-fidelity bench-baseline bench-compare check
 
 all: check
 
 ## build: compile every package
 build:
 	$(GO) build ./...
+
+## fmt: fail when any Go file is not gofmt-clean
+fmt:
+	@out=$$(gofmt -l *.go cmd examples internal perfbench); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 ## test: run the full unit-test suite
 test:
@@ -46,16 +50,17 @@ chaos-coord:
 	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS) -coord 3
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS) -coord 3
 
-## chaos-ship: replication-heavy sweep — extra disk destructions and
-## acked-frame bit rot per plan, so full rebuilds from the replica set and
-## scrubber repairs dominate the run
+## chaos-ship: replication-heavy sweep — 3 disk destructions and 3
+## acked-frame bit rots per plan in total (the default is 1 of each), so full
+## rebuilds from the replica set and scrubber repairs dominate the run
 chaos-ship:
 	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS) -disk 3
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS) -disk 3
 
-## chaos-rto: checkpoint-heavy sweep — extra mid-checkpoint power failures
-## per plan, so fuzzy-checkpoint fallback and the bounded-replay oracle
-## (restart work = delta since last checkpoint) dominate the run
+## chaos-rto: checkpoint-heavy sweep — 3 mid-checkpoint power failures per
+## plan in total (the default is 1), so fuzzy-checkpoint fallback and the
+## bounded-replay oracle (restart work = delta since last checkpoint)
+## dominate the run
 chaos-rto:
 	$(GO) run ./cmd/wattdb-chaos -seeds $(SEEDS) -ckpt 3
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds $(SEEDS) -ckpt 3
@@ -79,10 +84,15 @@ chaos-quick:
 	$(GO) run ./cmd/wattdb-chaos -seeds 3 -duration 25s -htap 4
 	$(GO) run ./cmd/wattdb-chaos -tpcc -seeds 2 -duration 20s -htap 4
 
-## check: tier-1 verification in one command (build + vet + race-enabled
-## tests + a short crash-anywhere chaos sweep of both workloads + the
-## benchmark's fidelity tests)
-check: build vet test-race chaos-quick bench-fidelity
+## check: tier-1 verification in one command (build + gofmt + vet +
+## race-enabled tests + a short crash-anywhere chaos sweep of both workloads +
+## a figure CLI smoke run + the benchmark's fidelity tests)
+check: build fmt vet test-race chaos-quick bench-smoke bench-fidelity
+
+## bench-smoke: run Fig. 1 through the figure CLI (the same suite the
+## BenchmarkFig* benchmarks run); a broken figure shape exits non-zero
+bench-smoke:
+	$(GO) run ./cmd/wattdb-bench -exp fig1
 
 ## bench-quick: regenerate every paper figure once at CI scale
 bench-quick:

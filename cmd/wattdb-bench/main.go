@@ -2,10 +2,13 @@
 //
 // Usage:
 //
-//	wattdb-bench -exp fig1|fig2|fig3|fig6|fig7|fig8|all [-preset quick|paper] [-seed N]
+//	wattdb-bench -exp fig1|fig2|fig3|fig6|fig7|fig8|htap|all [-preset quick|paper] [-seed N]
 //
-// Output is the textual equivalent of each figure: the same series/bars the
-// paper plots. EXPERIMENTS.md records a reference run.
+// Output is the textual equivalent of each figure — the same series/bars the
+// paper plots — followed by its headline metrics. The figures come from the
+// suite the BenchmarkFig* benchmarks run (internal/experiments.Figures); a
+// figure whose shape breaks the paper's claim is reported and makes the
+// command exit 1. EXPERIMENTS.md records a reference run.
 package main
 
 import (
@@ -13,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"wattdb/internal/experiments"
@@ -20,7 +24,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	exp := flag.String("exp", "all", "experiment: fig1, fig2, fig3, fig6, fig7, fig8, or all")
+	exp := flag.String("exp", "all", "experiment: fig1, fig2, fig3, fig6, fig7, fig8, htap, or all")
 	preset := flag.String("preset", "quick", "scale preset: quick or paper")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
@@ -36,56 +40,35 @@ func main() {
 	}
 	pre.Seed = *seed
 
-	run := func(name string, fn func() (fmt.Stringer, error)) {
+	figs := experiments.Figures
+	if *exp != "all" {
+		fig, ok := experiments.LookupFigure(*exp)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+			os.Exit(2)
+		}
+		figs = []experiments.Figure{fig}
+	}
+	failed := false
+	for _, fig := range figs {
 		start := time.Now()
-		res, err := fn()
+		rep, err := fig.Run(pre)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", fig.Name, err)
 		}
-		fmt.Println(res.String())
-		fmt.Printf("[%s completed in %.1fs wall time]\n\n", name, time.Since(start).Seconds())
-	}
-
-	all := *exp == "all"
-	matched := false
-	if all || *exp == "fig1" {
-		matched = true
-		rows := 20000
-		if pre.Name == "quick" {
-			rows = 5000
+		fmt.Println(rep.Table)
+		metrics := make([]string, len(rep.Metrics))
+		for i, m := range rep.Metrics {
+			metrics[i] = fmt.Sprintf("%.5g %s", m.Value, m.Unit)
 		}
-		run("fig1", func() (fmt.Stringer, error) { return experiments.Fig1(rows, pre.Seed) })
-	}
-	if all || *exp == "fig2" {
-		matched = true
-		rows, levels := 2000, []int{1, 10, 100, 1000}
-		if pre.Name == "quick" {
-			rows, levels = 1000, []int{1, 10, 100, 400}
+		fmt.Printf("headline: %s\n", strings.Join(metrics, ", "))
+		for _, f := range rep.Failures {
+			fmt.Printf("SHAPE CHECK FAILED: %s\n", f)
+			failed = true
 		}
-		run("fig2", func() (fmt.Stringer, error) { return experiments.Fig2(rows, levels, pre.Seed) })
+		fmt.Printf("[%s completed in %.1fs wall time]\n\n", fig.Name, time.Since(start).Seconds())
 	}
-	if all || *exp == "fig3" {
-		matched = true
-		records, ratios := 20000, []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-		if pre.Name == "quick" {
-			records, ratios = 5000, []int{0, 25, 50, 75, 100}
-		}
-		run("fig3", func() (fmt.Stringer, error) { return experiments.Fig3(records, ratios, pre.Seed) })
-	}
-	if all || *exp == "fig6" {
-		matched = true
-		run("fig6", func() (fmt.Stringer, error) { return experiments.Fig6(pre) })
-	}
-	if all || *exp == "fig7" {
-		matched = true
-		run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(pre) })
-	}
-	if all || *exp == "fig8" {
-		matched = true
-		run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(pre) })
-	}
-	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+	if failed {
+		os.Exit(1)
 	}
 }

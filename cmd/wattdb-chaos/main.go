@@ -26,11 +26,11 @@ func main() {
 	keys := flag.Int("keys", 0, "key-space size (default 400)")
 	workers := flag.Int("workers", 0, "workload processes (default 4)")
 	duration := flag.Duration("duration", 0, "simulated workload window (default 45s)")
-	faults := flag.Int("faults", 0, "extra random fault events (default 4)")
-	coord := flag.Int("coord", 0, "extra random coordinator power-fails (default 1; every plan also crashes the leader mid-migration)")
-	disk := flag.Int("disk", 0, "extra disk-loss + acked-rot fault pairs (default 1; every plan already destroys one disk and bit-rots one flushed frame)")
-	ckpt := flag.Int("ckpt", 0, "extra mid-checkpoint crash faults (default 1; every plan already power-fails one node partway through a fuzzy checkpoint)")
-	htap := flag.Int("htap", 0, "concurrent HTAP analytics readers running validated scan-aggregate snapshot queries (default 1; -1 disables)")
+	faults := flag.Int("faults", 0, "random fault events per plan (0: default 4; -1: none)")
+	coord := flag.Int("coord", 0, "random coordinator power-fails per plan, on top of the leader crash every plan lands mid-migration (0: default 1; -1: none)")
+	disk := flag.Int("disk", 0, "total disk-loss + acked-rot fault pairs per plan (0: default 1; -1: none)")
+	ckpt := flag.Int("ckpt", 0, "total mid-checkpoint crash faults per plan (0: default 1; -1: none)")
+	htap := flag.Int("htap", 0, "concurrent HTAP analytics readers running validated scan-aggregate snapshot queries (0: default 1; -1: none)")
 	tpccMode := flag.Bool("tpcc", false, "run the TPC-C workload with the warehouse-invariant oracle (ignores -keys)")
 	verbose := flag.Bool("v", false, "print the fault schedule of every run")
 	flag.Parse()

@@ -154,9 +154,6 @@ func (c *Cursor) Valid() bool { return c.valid }
 // Key returns the current key. The slice is reused by Next; copy to retain.
 func (c *Cursor) Key() []byte { return c.key }
 
-// Value returns the current value. The slice is reused by Next.
-func (c *Cursor) Value() []byte { return c.val }
-
 // Next advances to the following key.
 func (c *Cursor) Next(p *sim.Proc) error {
 	if !c.valid {
@@ -414,15 +411,6 @@ func (t *Tree) Count(p *sim.Proc) (int, error) {
 	n := 0
 	err := t.Scan(p, nil, nil, func(_, _ []byte) bool { n++; return true })
 	return n, err
-}
-
-// MinKey returns the smallest key, ok=false for an empty tree.
-func (t *Tree) MinKey(p *sim.Proc) ([]byte, bool, error) {
-	c, err := t.Seek(p, nil)
-	if err != nil || !c.Valid() {
-		return nil, false, err
-	}
-	return bytes.Clone(c.Key()), true, nil
 }
 
 // Validate checks structural invariants: key ordering within and across

@@ -14,6 +14,9 @@
 //   - power accounting: the meter never goes negative, energy is monotone,
 //     and standby nodes draw standby watts.
 //
+// RunTPCC drives TPC-C through the same run skeleton and fault executor,
+// checked by a warehouse-invariant oracle instead.
+//
 // Everything — the workload, the fault schedule, and the engine — runs on
 // the sim package's deterministic virtual clock, so one seed produces one
 // fault schedule and one final state hash: any failure is reproducible with
@@ -43,7 +46,9 @@ const (
 	ccSnapshot = cc.SnapshotIsolation
 )
 
-// Config parameterizes one chaos run.
+// Config parameterizes one chaos run. For the fault and reader counts
+// (Faults, CoordFaults, DiskFaults, CkptFaults, HTAP), 0 selects the default
+// and a negative value disables.
 type Config struct {
 	Seed   int64
 	Scheme table.Scheme
@@ -81,7 +86,7 @@ type Config struct {
 	// readers set the PreferFollower offloading hint so replica snapshot
 	// reads are exercised under faults. KV readers validate every observed
 	// row against the oracle at their snapshot; TPC-C readers check
-	// snapshot-internal warehouse invariants. -1 disables.
+	// snapshot-internal warehouse invariants.
 	HTAP int
 }
 
@@ -98,32 +103,23 @@ func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		c.Duration = 45 * time.Second
 	}
-	if c.Faults < 0 {
-		c.Faults = 0
-	} else if c.Faults == 0 {
-		c.Faults = 4
-	}
-	if c.CoordFaults < 0 {
-		c.CoordFaults = 0
-	} else if c.CoordFaults == 0 {
-		c.CoordFaults = 1
-	}
-	if c.DiskFaults < 0 {
-		c.DiskFaults = 0
-	} else if c.DiskFaults == 0 {
-		c.DiskFaults = 1
-	}
-	if c.CkptFaults < 0 {
-		c.CkptFaults = 0
-	} else if c.CkptFaults == 0 {
-		c.CkptFaults = 1
-	}
-	if c.HTAP < 0 {
-		c.HTAP = 0
-	} else if c.HTAP == 0 {
-		c.HTAP = 1
-	}
+	c.Faults = count(c.Faults, 4)
+	c.CoordFaults = count(c.CoordFaults, 1)
+	c.DiskFaults = count(c.DiskFaults, 1)
+	c.CkptFaults = count(c.CkptFaults, 1)
+	c.HTAP = count(c.HTAP, 1)
 	return c
+}
+
+// count resolves a count knob: 0 selects def, a negative value disables.
+func count(v, def int) int {
+	if v < 0 {
+		return 0
+	}
+	if v == 0 {
+		return def
+	}
+	return v
 }
 
 // Report is the outcome of one chaos run.
@@ -188,24 +184,142 @@ func (r *Report) Passed() bool { return len(r.Violations) == 0 }
 
 const maxViolations = 25
 
+// harness is the run skeleton the KV and TPC-C workloads share: one cluster
+// build, load, daemon set, fault executor, drain, final restarts,
+// replication sweep, coordinator oracles and state hash.
 type harness struct {
 	cfg    Config
 	env    *sim.Env
 	c      *cluster.Cluster
 	master *cluster.Master
-	schema *table.Schema
-	oracle *oracle
+	wl     workload
 
 	stop   bool
 	stopAt time.Duration
 
-	reads []readObs
-	scans []scanObs
-
 	rep *Report
 }
 
-func kvKey(k int64) []byte { return keycodec.Int64Key(k) }
+// workload is what a chaos run drives and checks.
+type workload interface {
+	// setup creates the tables; load fills them inside the simulation.
+	setup() error
+	load(p *sim.Proc) error
+	// spawnClients starts the workers and the HTAP readers.
+	spawnClients()
+	// plan derives the run's fault schedule from the seed alone.
+	plan() []faultEvent
+	// migrate moves ev's key range to ev.target, logging the outcome.
+	migrate(p *sim.Proc, ev faultEvent)
+	// afterRestart runs after every successful fault restart.
+	afterRestart(p *sim.Proc, n *cluster.DataNode)
+	// verify checks the end state against the workload's oracle and returns
+	// the canonical final-state dump the state hash covers.
+	verify() string
+}
+
+// run executes one chaos run of the workload newWorkload builds. The error
+// return is reserved for harness-level failures (a simulation process
+// panicking); invariant breaks land in Report.Violations.
+func run(cfg Config, newWorkload func(h *harness) workload) (*Report, error) {
+	cfg = cfg.withDefaults()
+	env := sim.NewEnv(cfg.Seed)
+	defer env.Close()
+
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = cfg.Nodes
+	ccfg.MasterReplicas = 2
+	ccfg.DataReplicas = 2
+	c := cluster.New(env, ccfg)
+	for _, n := range c.Nodes[1:] {
+		n.HW.ForceActive()
+	}
+	h := &harness{
+		cfg:    cfg,
+		env:    env,
+		c:      c,
+		master: c.Master,
+		stopAt: cfg.Duration,
+		rep:    &Report{Seed: cfg.Seed, Scheme: cfg.Scheme},
+	}
+	h.wl = newWorkload(h)
+
+	if err := h.wl.setup(); err != nil {
+		return h.rep, err
+	}
+	var loadErr error
+	env.Spawn("chaos-load", func(p *sim.Proc) { loadErr = h.wl.load(p) })
+	if err := env.Run(); err != nil {
+		return h.rep, err
+	}
+	if loadErr != nil {
+		return h.rep, loadErr
+	}
+	c.SetupReplicationDrain()
+
+	// Workload, analytics readers, replication and checkpoint daemons, and
+	// the fault plan.
+	h.wl.spawnClients()
+	h.spawnReplicationDaemons()
+	for _, n := range c.Nodes {
+		c.StartCheckpointer(n, func() bool { return h.stop })
+	}
+	h.spawnExecutor(h.wl.plan())
+
+	if err := env.RunUntil(cfg.Duration); err != nil {
+		return h.rep, err
+	}
+	h.stop = true
+	// Drain: workers exit, in-flight migrations finish or abort, pending
+	// restarts complete, ghost/old-pointer cleanups run out.
+	if err := env.Run(); err != nil {
+		return h.rep, err
+	}
+	for _, n := range c.Nodes {
+		if n.Down() {
+			// A late crash left the node down past the drain: bring it
+			// back for the final verification.
+			node := n
+			env.Spawn("chaos-final-restart", func(p *sim.Proc) {
+				if _, _, err := c.RestartNode(p, node); err != nil {
+					h.violate(fmt.Sprintf("final restart of node %d: %v", node.ID, err))
+					return
+				}
+				h.rep.Restarts++
+				h.noteRecovery(node)
+			})
+		}
+	}
+	if err := env.Run(); err != nil {
+		return h.rep, err
+	}
+	h.finalReplicationSweep()
+	if err := env.Run(); err != nil {
+		return h.rep, err
+	}
+	h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses = c.ReplicationStats()
+	for _, n := range c.Nodes {
+		h.rep.Checkpoints += n.Checkpoints
+	}
+
+	// Coordinator-failover oracles: after the drain the master must be
+	// available under some leader, and every recorded commit decision must
+	// have been acknowledged by all its participants (the decision map
+	// drains to empty — nothing leaks across failovers).
+	if c.Master.Fenced() {
+		h.violate("coordinator still fenced after drain (no leader elected)")
+	}
+	if n := c.Master.InDoubtDecisionCount(); n != 0 {
+		h.violate(fmt.Sprintf("decision map leak: %d commit decisions never fully acknowledged: %s",
+			n, strings.Join(c.Master.OutstandingDecisions(), "; ")))
+	}
+	h.rep.Failovers = c.Master.Failovers()
+
+	finalState := h.wl.verify()
+	h.rep.SimTime = env.Now()
+	h.rep.StateHash = h.stateHash(finalState)
+	return h.rep, nil
+}
 
 func (h *harness) violate(msg string) {
 	if len(h.rep.Violations) < maxViolations {
@@ -232,143 +346,133 @@ func (h *harness) aliveNode(rng *rand.Rand) *cluster.DataNode {
 	return alive[rng.Intn(len(alive))]
 }
 
-// Run executes one chaos run and returns its report. The error return is
-// reserved for harness-level failures (a simulation process panicking);
-// invariant breaks land in Report.Violations.
+// kvWorkload is the randomized key-value workload: single- and multi-key
+// reads, writes, deletes and scans over one table, every read checked
+// against the oracle's version history at the reader's snapshot.
+type kvWorkload struct {
+	*harness
+	schema *table.Schema
+	oracle *oracle
+
+	reads []readObs
+	scans []scanObs
+}
+
+func kvKey(k int64) []byte { return keycodec.Int64Key(k) }
+
+// Run executes one chaos run of the KV workload and returns its report.
 func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	env := sim.NewEnv(cfg.Seed)
-	defer env.Close()
-
-	ccfg := cluster.DefaultConfig()
-	ccfg.Nodes = cfg.Nodes
-	ccfg.MasterReplicas = 2
-	ccfg.DataReplicas = 2
-	c := cluster.New(env, ccfg)
-	for _, n := range c.Nodes[1:] {
-		n.HW.ForceActive()
-	}
-
-	h := &harness{
-		cfg:    cfg,
-		env:    env,
-		c:      c,
-		master: c.Master,
-		oracle: newOracle(),
-		stopAt: cfg.Duration,
-		rep:    &Report{Seed: cfg.Seed, Scheme: cfg.Scheme},
-	}
-	h.schema = &table.Schema{
-		ID: 1, Name: "kv", KeyCols: 1,
-		Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
-	}
-	mid := kvKey(int64(cfg.Keys / 2))
-	if _, err := c.Master.CreateTable(h.schema, cfg.Scheme, []cluster.RangeSpec{
-		{Low: nil, High: mid, Owner: c.Nodes[0]},
-		{Low: mid, High: nil, Owner: c.Nodes[1]},
-	}); err != nil {
-		return nil, err
-	}
-	var loadErr error
-	env.Spawn("chaos-load", func(p *sim.Proc) {
-		i := 0
-		loadErr = c.Master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
-			if i >= cfg.Keys {
-				return nil, nil, false
-			}
-			k := int64(i)
-			val := fmt.Sprintf("init-%d", k)
-			row := table.Row{k, val}
-			key, _ := h.schema.Key(row)
-			payload, _ := h.schema.EncodeRow(row)
-			h.oracle.load(k, val)
-			i++
-			return key, payload, true
-		})
+	return run(cfg, func(h *harness) workload {
+		return &kvWorkload{
+			harness: h,
+			oracle:  newOracle(),
+			schema: &table.Schema{
+				ID: 1, Name: "kv", KeyCols: 1,
+				Columns: []table.Column{{Name: "k", Type: table.ColInt64}, {Name: "v", Type: table.ColString}},
+			},
+		}
 	})
-	if err := env.Run(); err != nil {
-		return h.rep, err
-	}
-	if loadErr != nil {
-		return h.rep, loadErr
-	}
-	c.SetupReplicationDrain()
+}
 
-	// Workload, analytics readers, fault plan, power sampler, and
-	// replication daemons.
-	for w := 0; w < cfg.Workers; w++ {
+func (h *kvWorkload) setup() error {
+	mid := kvKey(int64(h.cfg.Keys / 2))
+	_, err := h.master.CreateTable(h.schema, h.cfg.Scheme, []cluster.RangeSpec{
+		{Low: nil, High: mid, Owner: h.c.Nodes[0]},
+		{Low: mid, High: nil, Owner: h.c.Nodes[1]},
+	})
+	return err
+}
+
+func (h *kvWorkload) load(p *sim.Proc) error {
+	i := 0
+	return h.master.BulkLoad(p, "kv", func() ([]byte, []byte, bool) {
+		if i >= h.cfg.Keys {
+			return nil, nil, false
+		}
+		k := int64(i)
+		val := fmt.Sprintf("init-%d", k)
+		row := table.Row{k, val}
+		key, _ := h.schema.Key(row)
+		payload, _ := h.schema.EncodeRow(row)
+		h.oracle.load(k, val)
+		i++
+		return key, payload, true
+	})
+}
+
+// spawnClients starts the workers, the analytics readers and the
+// power-accounting sampler.
+func (h *kvWorkload) spawnClients() {
+	for w := 0; w < h.cfg.Workers; w++ {
 		h.spawnWorker(w)
 	}
-	for q := 0; q < cfg.HTAP; q++ {
+	for q := 0; q < h.cfg.HTAP; q++ {
 		h.spawnAnalytics(q)
 	}
 	h.spawnPowerSampler()
-	spawnReplicationDaemons(env, c, &h.stop)
-	spawnCheckpointers(env, c, &h.stop)
-	h.runner().spawnExecutor(buildPlan(cfg))
+}
 
-	if err := env.RunUntil(cfg.Duration); err != nil {
-		return h.rep, err
-	}
-	h.stop = true
-	// Drain: workers exit, in-flight migrations finish or abort, pending
-	// restarts complete, ghost/old-pointer cleanups run out.
-	if err := env.Run(); err != nil {
-		return h.rep, err
-	}
-	for _, n := range c.Nodes {
-		if n.Down() {
-			// A late crash left the node down past the drain: bring it
-			// back for the final verification.
-			node := n
-			env.Spawn("chaos-final-restart", func(p *sim.Proc) {
-				if _, _, err := c.RestartNode(p, node); err != nil {
-					h.violate(fmt.Sprintf("final restart of node %d: %v", node.ID, err))
-					return
-				}
-				h.rep.Restarts++
-				noteRecovery(h.rep, h.violate, node)
-			})
-		}
-	}
-	if err := env.Run(); err != nil {
-		return h.rep, err
-	}
-	finalReplicationSweep(env, c, h.violate)
-	if err := env.Run(); err != nil {
-		return h.rep, err
-	}
-	h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses = c.ReplicationStats()
-	for _, n := range c.Nodes {
-		h.rep.Checkpoints += n.Checkpoints
-	}
+// plan migrates the third quarter of the key space in the guaranteed
+// crash-mid-migration sequence, and the first quarter as a random fault.
+func (h *kvWorkload) plan() []faultEvent {
+	keys := int64(h.cfg.Keys)
+	return buildPlan(h.cfg, 0x5eed_c8a0_5eed_c8a0, keyRange{keys / 2, 3 * keys / 4}, keyRange{0, keys / 4})
+}
 
-	// Coordinator-failover oracles: after the drain the master must be
-	// available under some leader, and every recorded commit decision must
-	// have been acknowledged by all its participants (the decision map
-	// drains to empty — nothing leaks across failovers).
-	if c.Master.Fenced() {
-		h.violate("coordinator still fenced after drain (no leader elected)")
+func (h *kvWorkload) migrate(p *sim.Proc, ev faultEvent) {
+	h.logFault("migration [%d,%d) -> node %d starting", ev.loK, ev.hiK, ev.target)
+	if err := h.master.MigrateRange(p, "kv", kvKey(ev.loK), kvKey(ev.hiK), h.c.Nodes[ev.target]); err != nil {
+		h.logFault("migration [%d,%d) -> node %d aborted: %v", ev.loK, ev.hiK, ev.target, err)
+	} else {
+		h.logFault("migration [%d,%d) -> node %d complete", ev.loK, ev.hiK, ev.target)
 	}
-	if n := c.Master.InDoubtDecisionCount(); n != 0 {
-		h.violate(fmt.Sprintf("decision map leak: %d commit decisions never fully acknowledged: %s",
-			n, strings.Join(c.Master.OutstandingDecisions(), "; ")))
-	}
-	h.rep.Failovers = c.Master.Failovers()
+}
 
-	// Final invariant sweep.
+// verify runs the final scan and point-read check, validates every recorded
+// read and scan against the oracle, and checks the range table.
+func (h *kvWorkload) verify() string {
 	finalState := h.finalCheck()
 	validateReads(h.oracle, h.reads, h.scans, h.violate)
-	h.checkPartitionTable()
-	h.rep.SimTime = env.Now()
-	h.rep.StateHash = h.stateHash(finalState)
-	return h.rep, nil
+	h.checkRanges("kv")
+	return finalState
+}
+
+// afterRestart reads every key the oracle knows right after a restart;
+// the observations flow into the same end-of-run validation as workload
+// reads, so "every acknowledged commit readable after restart" is checked
+// at the restart boundary itself, not only at the end.
+func (h *kvWorkload) afterRestart(p *sim.Proc, restarted *cluster.DataNode) {
+	s := h.master.Begin(p, ccSnapshot, restarted)
+	keys := make([]int64, 0, len(h.oracle.hist))
+	for k := range h.oracle.hist {
+		keys = append(keys, k)
+	}
+	sortInt64s(keys)
+	for _, k := range keys {
+		v, ok, err := s.Get(p, "kv", kvKey(k))
+		if err != nil {
+			// Another fault window may overlap the sweep; skip silently.
+			h.rep.FailedOps++
+			continue
+		}
+		obs := readObs{at: p.Now(), snap: s.Txn.Begin, key: k, ok: ok}
+		if ok {
+			row, derr := h.schema.DecodeRow(v)
+			if derr != nil {
+				h.violate(fmt.Sprintf("post-restart sweep: key %d undecodable: %v", k, derr))
+				continue
+			}
+			obs.val = row[1].(string)
+		}
+		h.reads = append(h.reads, obs)
+	}
+	s.Abort(p)
 }
 
 // spawnWorker starts one workload process: randomized single- and
 // multi-key read, write, delete, and scan transactions with unique values,
 // feeding the oracle on every acknowledged commit.
-func (h *harness) spawnWorker(w int) {
+func (h *kvWorkload) spawnWorker(w int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed*1_000_003 + int64(w)))
 	seq := 0
 	h.env.Spawn(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
@@ -386,7 +490,7 @@ func (h *harness) spawnWorker(w int) {
 }
 
 // runTxn executes one randomized transaction.
-func (h *harness) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home *cluster.DataNode) {
+func (h *kvWorkload) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home *cluster.DataNode) {
 	s := h.master.Begin(p, cc.SnapshotIsolation, home)
 	kind := rng.Intn(10)
 	switch {
@@ -488,7 +592,7 @@ func (h *harness) runTxn(p *sim.Proc, w int, rng *rand.Rand, seq *int, home *clu
 // reader's snapshot, exactly like the workload's range scans — an
 // analytics query that surfaces a torn or stale row is an invariant break,
 // wherever it was served from.
-func (h *harness) spawnAnalytics(q int) {
+func (h *kvWorkload) spawnAnalytics(q int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed*2_000_003 + int64(q)))
 	h.env.Spawn(fmt.Sprintf("chaos-htap-%d", q), func(p *sim.Proc) {
 		p.Sleep(time.Duration(7+5*q) * time.Millisecond) // desynchronize
@@ -528,7 +632,7 @@ func (h *harness) spawnAnalytics(q int) {
 // failOp aborts a transaction that hit a fault (down node, conflict,
 // timeout) and counts it; partial observations of the transaction are kept
 // only for reads that succeeded, which remain valid snapshot reads.
-func (h *harness) failOp(p *sim.Proc, s *cluster.Session) {
+func (h *kvWorkload) failOp(p *sim.Proc, s *cluster.Session) {
 	s.Abort(p)
 	h.rep.FailedOps++
 }
@@ -566,7 +670,7 @@ func (h *harness) spawnPowerSampler() {
 // scan must return exactly the oracle's live keys (each once, with its last
 // acknowledged value), and every live key must also be point-readable. It
 // returns the canonical final-state dump used for the state hash.
-func (h *harness) finalCheck() string {
+func (h *kvWorkload) finalCheck() string {
 	var dump strings.Builder
 	h.env.Spawn("chaos-final-check", func(p *sim.Proc) {
 		home := h.c.Nodes[0]
@@ -639,33 +743,33 @@ func (h *harness) finalCheck() string {
 	return dump.String()
 }
 
-// checkPartitionTable verifies the master's range table is sorted,
-// contiguous, and covers the whole key space.
-func (h *harness) checkPartitionTable() {
-	tm, err := h.master.Table("kv")
+// checkRanges verifies a table's partition table is sorted, contiguous,
+// covers the whole key space, and names a partition and owner per range.
+func (h *harness) checkRanges(name string) {
+	tm, err := h.master.Table(name)
 	if err != nil {
 		h.violate(err.Error())
 		return
 	}
 	entries := tm.Entries()
 	if len(entries) == 0 {
-		h.violate("partition table empty")
+		h.violate(fmt.Sprintf("%s: partition table empty", name))
 		return
 	}
 	if entries[0].Low != nil {
-		h.violate("partition table: first range does not start at -inf")
+		h.violate(fmt.Sprintf("%s: first range does not start at -inf", name))
 	}
 	if entries[len(entries)-1].High != nil {
-		h.violate("partition table: last range does not end at +inf")
+		h.violate(fmt.Sprintf("%s: last range does not end at +inf", name))
 	}
 	for i := 1; i < len(entries); i++ {
 		if string(entries[i-1].High) != string(entries[i].Low) {
-			h.violate(fmt.Sprintf("partition table: gap/overlap between entry %d and %d", i-1, i))
+			h.violate(fmt.Sprintf("%s: gap/overlap between entry %d and %d", name, i-1, i))
 		}
 	}
 	for i, e := range entries {
 		if e.Part == nil || e.Owner == nil {
-			h.violate(fmt.Sprintf("partition table: entry %d has nil partition/owner", i))
+			h.violate(fmt.Sprintf("%s: entry %d has nil partition/owner", name, i))
 		}
 	}
 }

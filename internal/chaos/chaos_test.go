@@ -56,6 +56,11 @@ func TestChaosDeterministic(t *testing.T) {
 		t.Errorf("run outcome differs: (%d,%d,%v) vs (%d,%d,%v)",
 			r1.Commits, r1.Aborts, r1.SimTime, r2.Commits, r2.Aborts, r2.SimTime)
 	}
+	// Pinned value: a change that moves it changes the simulation and must
+	// say so in CHANGES.md.
+	if want := "83bd1b09085a7d9e"; r1.StateHash != want {
+		t.Errorf("state hash moved: %s, want %s", r1.StateHash, want)
+	}
 }
 
 // TestChaosDiskLossDeterministic piles full-disk-loss and acked-history-rot

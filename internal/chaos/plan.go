@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"wattdb/internal/cluster"
 	"wattdb/internal/hw"
 	"wattdb/internal/sim"
 )
@@ -41,26 +40,32 @@ type faultEvent struct {
 	flip     int           // flip crash: bit flipped within the surviving tail bytes
 }
 
+// keyRange is a half-open migration range [lo, hi) of a workload's keys
+// (KV keys, or TPC-C warehouse ids).
+type keyRange struct{ lo, hi int64 }
+
 // buildPlan derives the fault schedule from the seed alone — never from
-// workload state — so the schedule is identical across reruns. Every plan
-// contains a migration with a crash of the migration target landing shortly
-// after it starts (the hardest window for each repartitioning protocol),
-// plus cfg.Faults additional random events.
-func buildPlan(cfg Config) []faultEvent {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed_c8a0_5eed_c8a0))
+// workload state — so the schedule is identical across reruns. seedMask
+// separates the workloads' fault streams. Every plan contains a migration of
+// mid to the first spare node with a crash of that target landing shortly
+// after it starts (the hardest window for each repartitioning protocol); the
+// random faults may also migrate extra to the last node. On top come
+// cfg.Faults random events and exactly cfg.CoordFaults, cfg.DiskFaults and
+// cfg.CkptFaults of the dedicated fault kinds.
+func buildPlan(cfg Config, seedMask int64, mid, extra keyRange) []faultEvent {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ seedMask))
 	window := cfg.Duration
 	var plan []faultEvent
 
-	// The guaranteed crash-mid-migration sequence: move the third quarter
-	// of the key space to the first spare node, then power-fail that target
-	// while the move is in flight.
+	// The guaranteed crash-mid-migration sequence: move mid to the first
+	// spare node, then power-fail that target while the move is in flight.
 	migAt := window/3 + time.Duration(rng.Int63n(int64(window/6)))
 	target := 2 // first node without initial data
 	plan = append(plan, faultEvent{
 		at:     migAt,
 		kind:   faultMigrate,
-		loK:    int64(cfg.Keys / 2),
-		hiK:    int64(3 * cfg.Keys / 4),
+		loK:    mid.lo,
+		hiK:    mid.hi,
 		target: target,
 	})
 	plan = append(plan, faultEvent{
@@ -134,12 +139,12 @@ func buildPlan(cfg Config) []faultEvent {
 				dur:   time.Duration(2+rng.Intn(4)) * time.Second,
 			})
 		case 3:
-			// A second migration over the first quarter, to the last node.
+			// A second migration, to the last node.
 			plan = append(plan, faultEvent{
 				at:     at,
 				kind:   faultMigrate,
-				loK:    0,
-				hiK:    int64(cfg.Keys / 4),
+				loK:    extra.lo,
+				hiK:    extra.hi,
 				target: cfg.Nodes - 1,
 			})
 		case 6:
@@ -158,9 +163,9 @@ func buildPlan(cfg Config) []faultEvent {
 // tornCrash builds one log-medium damage crash at the given time: a power
 // failure tearing the frame the log device was writing (partial final
 // record), or — for faultCrashFlip — one leaving a byte-complete but
-// bit-flipped frame at the flushed boundary. Both harnesses' plan builders
-// draw from this single definition so the damage parameter ranges cannot
-// drift apart.
+// bit-flipped frame at the flushed boundary. The plan's guaranteed and
+// random damage events both draw from this single definition so their
+// parameter ranges cannot drift apart.
 func tornCrash(rng *rand.Rand, at time.Duration, kind faultKind, nodes int) faultEvent {
 	ev := faultEvent{
 		at:   at,
@@ -234,83 +239,72 @@ func diskFaultEvents(rng *rand.Rand, window time.Duration, nodes int) []faultEve
 	}
 }
 
-// faultRunner is the workload-agnostic fault executor shared by the KV and
-// TPC-C harnesses: it walks the plan on the simulator clock, executing
-// crashes (power-fail anywhere, including mid-commit, with a scheduled
-// restart), disk stalls, and net spikes itself, and delegating migrations
-// to the workload (which knows its tables). Generation counters make
-// overlapping faults well-behaved: each injection bumps the device's
-// generation, and an expiry timer clears the fault only if no later fault
-// has re-armed that device meanwhile.
-type faultRunner struct {
-	env      *sim.Env
-	c        *cluster.Cluster
-	rep      *Report
-	logFault func(format string, args ...interface{})
-	violate  func(string)
-	// migrate runs the workload's range migration for ev in its own
-	// process and calls done when finished (only one runs at a time).
-	migrate func(ev faultEvent, done func())
-	// postRestart, when non-nil, runs after every successful node restart.
-	postRestart func(p *sim.Proc, n *cluster.DataNode)
-}
-
-func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
+// spawnExecutor walks the plan on the simulator clock, executing crashes
+// (power-fail anywhere, including mid-commit, with a scheduled restart),
+// disk stalls, and net spikes itself, and delegating migrations to the
+// workload (which knows its tables). Generation counters make overlapping
+// faults well-behaved: each injection bumps the device's generation, and an
+// expiry timer clears the fault only if no later fault has re-armed that
+// device meanwhile.
+func (h *harness) spawnExecutor(plan []faultEvent) {
 	migrating := false
 	stallGen := make(map[*hw.Disk]int)
 	netGen := 0
-	fr.env.Spawn("chaos-executor", func(p *sim.Proc) {
+	h.env.Spawn("chaos-executor", func(p *sim.Proc) {
 		for _, ev := range plan {
 			if wait := ev.at - p.Now(); wait > 0 {
 				p.Sleep(wait)
 			}
 			switch ev.kind {
 			case faultCrash, faultCrashTorn, faultCrashFlip, faultCrashCoord:
-				fr.execCrash(ev)
+				h.execCrash(ev)
 			case faultDiskStall:
-				n := fr.c.Nodes[ev.node]
+				n := h.c.Nodes[ev.node]
 				d := n.HW.Disks[ev.disk]
-				fr.logFault("disk stall: node %d disk %d +%v for %v", ev.node, ev.disk, ev.extra, ev.dur)
+				h.logFault("disk stall: node %d disk %d +%v for %v", ev.node, ev.disk, ev.extra, ev.dur)
 				d.SetStall(ev.extra)
 				stallGen[d]++
 				mine := stallGen[d]
-				fr.env.After(ev.dur, func() {
+				h.env.After(ev.dur, func() {
 					if stallGen[d] == mine {
 						d.SetStall(0)
 					}
 				})
 			case faultNetSpike:
-				fr.logFault("net delay spike: +%v for %v", ev.extra, ev.dur)
-				fr.c.Net.SetExtraDelay(ev.extra)
+				h.logFault("net delay spike: +%v for %v", ev.extra, ev.dur)
+				h.c.Net.SetExtraDelay(ev.extra)
 				netGen++
 				mine := netGen
-				fr.env.After(ev.dur, func() {
+				h.env.After(ev.dur, func() {
 					if netGen == mine {
-						fr.c.Net.SetExtraDelay(0)
+						h.c.Net.SetExtraDelay(0)
 					}
 				})
 			case faultMigrate:
 				if migrating {
-					fr.logFault("migration [%d,%d) -> node %d skipped (another in flight)", ev.loK, ev.hiK, ev.target)
+					h.logFault("migration [%d,%d) -> node %d skipped (another in flight)", ev.loK, ev.hiK, ev.target)
 					continue
 				}
 				migrating = true
-				fr.migrate(ev, func() { migrating = false })
+				h.env.Spawn("chaos-migrate", func(p *sim.Proc) {
+					h.wl.migrate(p, ev)
+					migrating = false
+				})
 			case faultDestroyDisk:
-				fr.execDestroy(ev)
+				h.execDestroy(ev)
 			case faultCkptCrash:
-				fr.execCkptCrash(ev)
+				h.execCkptCrash(ev)
 			case faultRotAcked:
-				n := fr.c.Nodes[ev.node]
+				n := h.c.Nodes[ev.node]
 				if n.Down() {
-					fr.logFault("acked-history rot on node %d skipped (down)", ev.node)
+					h.logFault("acked-history rot on node %d skipped (down)", ev.node)
 					continue
 				}
-				if lsn := n.Log.FlipFlushedBit(ev.flip, fr.c.RotEligible(n)); lsn != 0 {
-					fr.rep.RotInjected++
-					fr.logFault("acked-history rot: node %d frame at LSN %d bit-flipped (pick %d)", ev.node, lsn, ev.flip)
+				if lsn := n.Log.FlipFlushedBit(ev.flip, h.c.RotEligible(n)); lsn != 0 {
+					h.rep.RotInjected++
+					h.logFault("acked-history rot: node %d frame at LSN %d bit-flipped (pick %d)", ev.node, lsn, ev.flip)
 				} else {
-					fr.logFault("acked-history rot on node %d skipped (no replica-covered frame)", ev.node)
+					h.logFault("acked-history rot on node %d skipped (no replica-covered frame)", ev.node)
 				}
 			}
 		}
@@ -322,72 +316,64 @@ func (fr *faultRunner) spawnExecutor(plan []faultEvent) {
 // medium: part of the frame the device was writing survives on the platter
 // (possibly bit-flipped), and the restart must CRC-detect and truncate it
 // while every acknowledged commit below the boundary survives.
-func (fr *faultRunner) execCrash(ev faultEvent) {
+func (h *harness) execCrash(ev faultEvent) {
 	if ev.kind == faultCrashCoord {
 		// Resolve the acting coordinator at execution time — after earlier
 		// failovers the leader may be any replica-group member — then crash
 		// it like any other power failure.
-		ev.node = fr.c.Master.LeaderID()
+		ev.node = h.c.Master.LeaderID()
 		ev.kind = faultCrash
 	}
-	n := fr.c.Nodes[ev.node]
+	n := h.c.Nodes[ev.node]
 	if n.Down() {
 		// Already down: a second crash+restart pair for the same outage
 		// would double-count and race the first restart.
-		fr.logFault("crash node %d skipped (already down)", ev.node)
+		h.logFault("crash node %d skipped (already down)", ev.node)
 		return
 	}
-	wasLeader := n == fr.c.Master.Node
+	wasLeader := n == h.c.Master.Node
 	switch ev.kind {
 	case faultCrashTorn:
-		torn := fr.c.CrashNodeTorn(n, ev.tear, -1)
+		torn := h.c.CrashNodeTorn(n, ev.tear, -1)
 		if torn > 0 { // an empty unflushed tail degrades to a plain crash
-			fr.rep.TornCrashes++
+			h.rep.TornCrashes++
 		}
-		fr.logFault("crash node %d with torn log tail (%d bytes survive; restart after %v)", ev.node, torn, ev.dur)
+		h.logFault("crash node %d with torn log tail (%d bytes survive; restart after %v)", ev.node, torn, ev.dur)
 	case faultCrashFlip:
-		torn := fr.c.CrashNodeTorn(n, ev.tear, ev.flip)
+		torn := h.c.CrashNodeTorn(n, ev.tear, ev.flip)
 		if torn > 0 {
-			fr.rep.BitFlips++
+			h.rep.BitFlips++
 		}
-		fr.logFault("crash node %d with bit-flipped log tail (%d bytes survive, bit %d; restart after %v)",
+		h.logFault("crash node %d with bit-flipped log tail (%d bytes survive, bit %d; restart after %v)",
 			ev.node, torn, ev.flip, ev.dur)
 	default:
-		fr.c.CrashNode(n)
-		fr.logFault("crash node %d (restart after %v)", ev.node, ev.dur)
+		h.c.CrashNode(n)
+		h.logFault("crash node %d (restart after %v)", ev.node, ev.dur)
 	}
-	fr.rep.Crashes++
-	if fr.c.MasterReplicated() && wasLeader {
-		fr.rep.LeaderCrashes++
+	h.rep.Crashes++
+	if h.c.MasterReplicated() && wasLeader {
+		h.rep.LeaderCrashes++
 	}
 	node := n
 	dur := ev.dur
-	fr.env.Spawn(fmt.Sprintf("chaos-restart-%d", ev.node), func(p *sim.Proc) {
+	h.env.Spawn(fmt.Sprintf("chaos-restart-%d", ev.node), func(p *sim.Proc) {
 		p.Sleep(dur)
-		redone, undone, err := fr.c.RestartNode(p, node)
+		redone, undone, err := h.c.RestartNode(p, node)
 		if err != nil {
-			fr.violate(fmt.Sprintf("restart of node %d failed: %v", node.ID, err))
+			h.violate(fmt.Sprintf("restart of node %d failed: %v", node.ID, err))
 			return
 		}
 		// The restart must leave a fully decodable log: a torn or corrupted
 		// (and necessarily unacknowledged) tail is truncated, never patched
 		// around or left for the next recovery to trip on.
-		it := node.Log.Iter()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
+		if _, err := node.Log.Iter().All(); err != nil {
+			h.violate(fmt.Sprintf("restart of node %d left a corrupt log tail: %v", node.ID, err))
 		}
-		if it.Err() != nil {
-			fr.violate(fmt.Sprintf("restart of node %d left a corrupt log tail: %v", node.ID, it.Err()))
-		}
-		fr.rep.Restarts++
-		noteRecovery(fr.rep, fr.violate, node)
-		fr.logFault("node %d restarted (replay: %d redone, %d undone, %d bytes from redo %d, %v to ready)",
+		h.rep.Restarts++
+		h.noteRecovery(node)
+		h.logFault("node %d restarted (replay: %d redone, %d undone, %d bytes from redo %d, %v to ready)",
 			node.ID, redone, undone, node.LastRecovery.Bytes, node.LastRecovery.Redo, node.LastRecovery.Elapsed)
-		if fr.postRestart != nil {
-			fr.postRestart(p, node)
-		}
+		h.wl.afterRestart(p, node)
 	})
 }
 
@@ -398,113 +384,49 @@ func (fr *faultRunner) execCrash(ev faultEvent) {
 // other's only replica, leaving no rebuild source (real deployments solve
 // this with rack-aware placement; the simulator keeps the invariant by
 // serializing the fault).
-func (fr *faultRunner) execDestroy(ev faultEvent) {
-	if !fr.c.DataReplicated() {
-		fr.logFault("disk loss on node %d skipped (data replication off)", ev.node)
+func (h *harness) execDestroy(ev faultEvent) {
+	if !h.c.DataReplicated() {
+		h.logFault("disk loss on node %d skipped (data replication off)", ev.node)
 		return
 	}
-	n := fr.c.Nodes[ev.node]
+	n := h.c.Nodes[ev.node]
 	if n.Down() {
-		fr.logFault("disk loss on node %d skipped (already down)", ev.node)
+		h.logFault("disk loss on node %d skipped (already down)", ev.node)
 		return
 	}
-	for _, other := range fr.c.Nodes {
+	for _, other := range h.c.Nodes {
 		if other.DiskLost() {
-			fr.logFault("disk loss on node %d skipped (node %d still rebuilding)", ev.node, other.ID)
+			h.logFault("disk loss on node %d skipped (node %d still rebuilding)", ev.node, other.ID)
 			return
 		}
 	}
-	wasLeader := n == fr.c.Master.Node
-	fr.c.DestroyDisk(n)
-	fr.logFault("disk loss: node %d log medium and bases destroyed (restart after %v)", ev.node, ev.dur)
-	fr.rep.Crashes++
-	if fr.c.MasterReplicated() && wasLeader {
-		fr.rep.LeaderCrashes++
+	wasLeader := n == h.c.Master.Node
+	h.c.DestroyDisk(n)
+	h.logFault("disk loss: node %d log medium and bases destroyed (restart after %v)", ev.node, ev.dur)
+	h.rep.Crashes++
+	if h.c.MasterReplicated() && wasLeader {
+		h.rep.LeaderCrashes++
 	}
 	node := n
 	dur := ev.dur
-	fr.env.Spawn(fmt.Sprintf("chaos-rebuild-%d", ev.node), func(p *sim.Proc) {
+	h.env.Spawn(fmt.Sprintf("chaos-rebuild-%d", ev.node), func(p *sim.Proc) {
 		p.Sleep(dur)
-		redone, undone, err := fr.c.RestartNode(p, node)
+		redone, undone, err := h.c.RestartNode(p, node)
 		if err != nil {
-			fr.violate(fmt.Sprintf("rebuild restart of node %d failed: %v", node.ID, err))
+			h.violate(fmt.Sprintf("rebuild restart of node %d failed: %v", node.ID, err))
 			return
 		}
 		if node.DiskLost() || node.Log.LostDurable() {
-			fr.violate(fmt.Sprintf("node %d still marked disk-lost after rebuild restart", node.ID))
+			h.violate(fmt.Sprintf("node %d still marked disk-lost after rebuild restart", node.ID))
 			return
 		}
-		it := node.Log.Iter()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
+		if _, err := node.Log.Iter().All(); err != nil {
+			h.violate(fmt.Sprintf("rebuild of node %d left a corrupt log: %v", node.ID, err))
 		}
-		if it.Err() != nil {
-			fr.violate(fmt.Sprintf("rebuild of node %d left a corrupt log: %v", node.ID, it.Err()))
-		}
-		fr.rep.Restarts++
-		noteRecovery(fr.rep, fr.violate, node)
-		fr.logFault("node %d rebuilt from replicas (replay: %d redone, %d undone, %d bytes, %v to ready)",
+		h.rep.Restarts++
+		h.noteRecovery(node)
+		h.logFault("node %d rebuilt from replicas (replay: %d redone, %d undone, %d bytes, %v to ready)",
 			node.ID, redone, undone, node.LastRecovery.Bytes, node.LastRecovery.Elapsed)
-		if fr.postRestart != nil {
-			fr.postRestart(p, node)
-		}
+		h.wl.afterRestart(p, node)
 	})
-}
-
-// runner wires the KV harness into the shared fault executor.
-func (h *harness) runner() *faultRunner {
-	return &faultRunner{
-		env:         h.env,
-		c:           h.c,
-		rep:         h.rep,
-		logFault:    h.logFault,
-		violate:     h.violate,
-		postRestart: h.postRestartSweep,
-		migrate: func(ev faultEvent, done func()) {
-			h.env.Spawn("chaos-migrate", func(mp *sim.Proc) {
-				h.logFault("migration [%d,%d) -> node %d starting", ev.loK, ev.hiK, ev.target)
-				err := h.master.MigrateRange(mp, "kv", kvKey(ev.loK), kvKey(ev.hiK), h.c.Nodes[ev.target])
-				if err != nil {
-					h.logFault("migration [%d,%d) -> node %d aborted: %v", ev.loK, ev.hiK, ev.target, err)
-				} else {
-					h.logFault("migration [%d,%d) -> node %d complete", ev.loK, ev.hiK, ev.target)
-				}
-				done()
-			})
-		},
-	}
-}
-
-// postRestartSweep reads every key the oracle knows right after a restart;
-// the observations flow into the same end-of-run validation as workload
-// reads, so "every acknowledged commit readable after restart" is checked
-// at the restart boundary itself, not only at the end.
-func (h *harness) postRestartSweep(p *sim.Proc, restarted *cluster.DataNode) {
-	s := h.master.Begin(p, ccSnapshot, restarted)
-	keys := make([]int64, 0, len(h.oracle.hist))
-	for k := range h.oracle.hist {
-		keys = append(keys, k)
-	}
-	sortInt64s(keys)
-	for _, k := range keys {
-		v, ok, err := s.Get(p, "kv", kvKey(k))
-		if err != nil {
-			// Another fault window may overlap the sweep; skip silently.
-			h.rep.FailedOps++
-			continue
-		}
-		obs := readObs{at: p.Now(), snap: s.Txn.Begin, key: k, ok: ok}
-		if ok {
-			row, derr := h.schema.DecodeRow(v)
-			if derr != nil {
-				h.violate(fmt.Sprintf("post-restart sweep: key %d undecodable: %v", k, derr))
-				continue
-			}
-			obs.val = row[1].(string)
-		}
-		h.reads = append(h.reads, obs)
-	}
-	s.Abort(p)
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,153 +33,96 @@ import (
 //   - every touched STOCK row carries the summed quantities, order counts,
 //     and remote counts of the acknowledged order lines that hit it.
 //
-// The same determinism contract as the KV harness applies: one seed → one
+// The same determinism contract as the KV workload applies: one seed → one
 // fault schedule → one state hash.
 func RunTPCC(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	env := sim.NewEnv(cfg.Seed)
-	defer env.Close()
+	return run(cfg, func(h *harness) workload {
+		// A trimmed TPC-C keeps the run fast while preserving every access
+		// path; four warehouses split two nodes, with spare nodes as
+		// migration targets. Districts stay at the spec's 10 because the
+		// load's base values encode W_YTD = 10 × D_YTD — the very invariant
+		// the oracle checks.
+		tcfg := tpcc.Config{
+			Warehouses:           4,
+			DistrictsPerW:        10,
+			CustomersPerDistrict: 30,
+			Items:                100,
+			InitialOrdersPerDist: 30,
+			Seed:                 h.cfg.Seed,
+		}
+		return &tpccWorkload{harness: h, tcfg: tcfg, model: newTPCCModel(tcfg)}
+	})
+}
 
-	ccfg := cluster.DefaultConfig()
-	ccfg.Nodes = cfg.Nodes
-	ccfg.MasterReplicas = 2
-	ccfg.DataReplicas = 2
-	c := cluster.New(env, ccfg)
-	for _, n := range c.Nodes[1:] {
-		n.HW.ForceActive()
-	}
+// tpccWorkload drives the five TPC-C transactions and checks the warehouse
+// invariants through its model.
+type tpccWorkload struct {
+	*harness
+	tcfg  tpcc.Config
+	dep   *tpcc.Deployment
+	model *tpccModel
+}
 
-	// A trimmed TPC-C keeps the run fast while preserving every access
-	// path; four warehouses split two nodes, with spare nodes as migration
-	// targets. Districts stay at the spec's 10 because the load's base
-	// values encode W_YTD = 10 × D_YTD — the very invariant the oracle
-	// checks.
-	tcfg := tpcc.Config{
-		Warehouses:           4,
-		DistrictsPerW:        10,
-		CustomersPerDistrict: 30,
-		Items:                100,
-		InitialOrdersPerDist: 30,
-		Seed:                 cfg.Seed,
-	}
-	h := &tpccHarness{
-		cfg:    cfg,
-		tcfg:   tcfg,
-		env:    env,
-		c:      c,
-		master: c.Master,
-		stopAt: cfg.Duration,
-		rep:    &Report{Seed: cfg.Seed, Scheme: cfg.Scheme},
-		model:  newTPCCModel(tcfg),
-	}
-	dep, err := tpcc.Deploy(c.Master, tcfg, cfg.Scheme, []tpcc.WarehouseRange{
-		{FromW: 1, ToW: 2, Owner: c.Nodes[0]},
-		{FromW: 3, ToW: tcfg.Warehouses, Owner: c.Nodes[1]},
-	}, c.Nodes)
+func (h *tpccWorkload) setup() error {
+	dep, err := tpcc.Deploy(h.master, h.tcfg, h.cfg.Scheme, []tpcc.WarehouseRange{
+		{FromW: 1, ToW: 2, Owner: h.c.Nodes[0]},
+		{FromW: 3, ToW: h.tcfg.Warehouses, Owner: h.c.Nodes[1]},
+	}, h.c.Nodes)
 	if err != nil {
-		return h.rep, err
+		return err
 	}
 	dep.RecordEffects = true
 	h.dep = dep
-	var loadErr error
-	env.Spawn("tpcc-chaos-load", func(p *sim.Proc) { loadErr = dep.Load(p) })
-	if err := env.Run(); err != nil {
-		return h.rep, err
-	}
-	if loadErr != nil {
-		return h.rep, loadErr
-	}
-	c.SetupReplicationDrain()
+	return nil
+}
 
-	for w := 0; w < cfg.Workers; w++ {
+func (h *tpccWorkload) load(p *sim.Proc) error { return h.dep.Load(p) }
+
+func (h *tpccWorkload) spawnClients() {
+	for w := 0; w < h.cfg.Workers; w++ {
 		h.spawnWorker(w)
 	}
-	for q := 0; q < cfg.HTAP; q++ {
+	for q := 0; q < h.cfg.HTAP; q++ {
 		h.spawnAnalytics(q)
 	}
-	spawnReplicationDaemons(env, c, &h.stop)
-	spawnCheckpointers(env, c, &h.stop)
-	h.runner().spawnExecutor(buildTPCCPlan(cfg, tcfg))
+}
 
-	if err := env.RunUntil(cfg.Duration); err != nil {
-		return h.rep, err
-	}
-	h.stop = true
-	if err := env.Run(); err != nil {
-		return h.rep, err
-	}
-	for _, n := range c.Nodes {
-		if n.Down() {
-			node := n
-			env.Spawn("tpcc-chaos-final-restart", func(p *sim.Proc) {
-				if _, _, err := c.RestartNode(p, node); err != nil {
-					h.violate(fmt.Sprintf("final restart of node %d: %v", node.ID, err))
-					return
-				}
-				h.rep.Restarts++
-				noteRecovery(h.rep, h.violate, node)
-			})
+// plan migrates warehouse 2 off node 0 in the guaranteed
+// crash-mid-migration sequence, and the last warehouse as a random fault.
+func (h *tpccWorkload) plan() []faultEvent {
+	last := int64(h.tcfg.Warehouses)
+	return buildPlan(h.cfg, 0x79cc_c0de_79cc_c0de, keyRange{2, 3}, keyRange{last, last + 1})
+}
+
+// migrate moves the warehouse range of every partitioned table.
+func (h *tpccWorkload) migrate(p *sim.Proc, ev faultEvent) {
+	h.logFault("migration w[%d,%d) -> node %d starting", ev.loK, ev.hiK, ev.target)
+	lo, hi := keycodec.Int64Key(ev.loK), keycodec.Int64Key(ev.hiK)
+	for _, name := range tpcc.PartitionedTables() {
+		if err := h.master.MigrateRange(p, name, lo, hi, h.c.Nodes[ev.target]); err != nil {
+			h.logFault("migration w[%d,%d) table %s aborted: %v", ev.loK, ev.hiK, name, err)
+			return
 		}
 	}
-	if err := env.Run(); err != nil {
-		return h.rep, err
-	}
-	finalReplicationSweep(env, c, h.violate)
-	if err := env.Run(); err != nil {
-		return h.rep, err
-	}
-	h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses = c.ReplicationStats()
-	for _, n := range c.Nodes {
-		h.rep.Checkpoints += n.Checkpoints
-	}
+	h.logFault("migration w[%d,%d) -> node %d complete", ev.loK, ev.hiK, ev.target)
+}
 
-	// Coordinator-failover oracles (same contract as the KV harness).
-	if c.Master.Fenced() {
-		h.violate("coordinator still fenced after drain (no leader elected)")
-	}
-	if n := c.Master.InDoubtDecisionCount(); n != 0 {
-		h.violate(fmt.Sprintf("decision map leak: %d commit decisions never fully acknowledged", n))
-	}
-	h.rep.Failovers = c.Master.Failovers()
+func (h *tpccWorkload) afterRestart(*sim.Proc, *cluster.DataNode) {}
 
+// verify settles the model's delivery debt, checks the end state against
+// it, and checks every partitioned table's range table.
+func (h *tpccWorkload) verify() string {
 	h.model.settle(h.violate)
 	finalState := h.finalCheck()
 	for _, name := range tpcc.PartitionedTables() {
-		h.checkTableRanges(name)
+		h.checkRanges(name)
 	}
-	h.rep.SimTime = env.Now()
-	h.rep.StateHash = h.stateHash(finalState)
-	return h.rep, nil
-}
-
-type tpccHarness struct {
-	cfg    Config
-	tcfg   tpcc.Config
-	env    *sim.Env
-	c      *cluster.Cluster
-	master *cluster.Master
-	dep    *tpcc.Deployment
-	model  *tpccModel
-
-	stop   bool
-	stopAt time.Duration
-	rep    *Report
-}
-
-func (h *tpccHarness) violate(msg string) {
-	if len(h.rep.Violations) < maxViolations {
-		h.rep.Violations = append(h.rep.Violations, msg)
-	}
-}
-
-func (h *tpccHarness) logFault(format string, args ...interface{}) {
-	h.rep.Faults = append(h.rep.Faults,
-		fmt.Sprintf("t=%7.3fs  ", h.env.Now().Seconds())+fmt.Sprintf(format, args...))
+	return finalState
 }
 
 // homeFor picks the session home for warehouse w: its owning node when
 // powered, otherwise any alive node (remote execution pays the network).
-func (h *tpccHarness) homeFor(w int, rng *rand.Rand) *cluster.DataNode {
+func (h *tpccWorkload) homeFor(w int, rng *rand.Rand) *cluster.DataNode {
 	if tm, err := h.master.Table(tpcc.TWarehouse); err == nil {
 		if e, err := tm.Route(keycodec.Int64Key(int64(w))); err == nil {
 			if !e.Owner.Down() && e.Owner.HW.State() == hwActive {
@@ -188,19 +130,10 @@ func (h *tpccHarness) homeFor(w int, rng *rand.Rand) *cluster.DataNode {
 			}
 		}
 	}
-	var alive []*cluster.DataNode
-	for _, n := range h.c.Nodes {
-		if !n.Down() && n.HW.State() == hwActive {
-			alive = append(alive, n)
-		}
-	}
-	if len(alive) == 0 {
-		return nil
-	}
-	return alive[rng.Intn(len(alive))]
+	return h.aliveNode(rng)
 }
 
-func (h *tpccHarness) spawnWorker(w int) {
+func (h *tpccWorkload) spawnWorker(w int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed*1_000_003 + int64(w)))
 	h.env.Spawn(fmt.Sprintf("tpcc-chaos-worker-%d", w), func(p *sim.Proc) {
 		p.Sleep(time.Duration(w) * 3 * time.Millisecond) // desynchronize
@@ -251,7 +184,7 @@ func (h *tpccHarness) spawnWorker(w int) {
 // visible otherwise), and every NEW_ORDER entry references a visible
 // order. Even-numbered readers set the PreferFollower offloading hint so
 // replica snapshot reads run under the fault plan.
-func (h *tpccHarness) spawnAnalytics(q int) {
+func (h *tpccWorkload) spawnAnalytics(q int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed*2_000_003 + int64(q)))
 	h.env.Spawn(fmt.Sprintf("tpcc-chaos-htap-%d", q), func(p *sim.Proc) {
 		p.Sleep(time.Duration(7+5*q) * time.Millisecond) // desynchronize
@@ -277,7 +210,7 @@ func (h *tpccHarness) spawnAnalytics(q int) {
 // analyticsQuery runs one district's snapshot aggregate and checks its
 // internal invariants. It returns false when a fault aborted the query
 // (down node, timeout) — invariant breaks go through violate instead.
-func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64) bool {
+func (h *tpccWorkload) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64) bool {
 	dS := h.dep.Schemas[tpcc.TDistrict]
 	oS := h.dep.Schemas[tpcc.TOrders]
 	olS := h.dep.Schemas[tpcc.TOrderLine]
@@ -387,151 +320,6 @@ func (h *tpccHarness) analyticsQuery(p *sim.Proc, s *cluster.Session, w, d int64
 	h.rep.AnalyticsQueries++
 	h.rep.AnalyticsRows += rows
 	return true
-}
-
-// buildTPCCPlan derives the fault schedule from the seed alone. Every plan
-// migrates warehouse 2 off node 0 and power-fails the migration target while
-// the move is in flight, plus cfg.Faults random crash/stall/spike/migrate
-// events.
-func buildTPCCPlan(cfg Config, tcfg tpcc.Config) []faultEvent {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x79cc_c0de_79cc_c0de))
-	window := cfg.Duration
-	var plan []faultEvent
-
-	migAt := window/3 + time.Duration(rng.Int63n(int64(window/6)))
-	target := 2 // first node without initial data
-	plan = append(plan, faultEvent{at: migAt, kind: faultMigrate, loK: 2, hiK: 3, target: target})
-	plan = append(plan, faultEvent{
-		at:   migAt + 30*time.Millisecond + time.Duration(rng.Int63n(int64(120*time.Millisecond))),
-		kind: faultCrash,
-		node: target,
-		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-	})
-	// Every plan also power-fails the coordinator during the migration window
-	// plus cfg.CoordFaults more times at random instants (see buildPlan).
-	plan = append(plan, faultEvent{
-		at:   migAt + 40*time.Millisecond + time.Duration(rng.Int63n(int64(150*time.Millisecond))),
-		kind: faultCrashCoord,
-		dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-	})
-	for i := 0; i < cfg.CoordFaults; i++ {
-		plan = append(plan, faultEvent{
-			at:   window/10 + time.Duration(rng.Int63n(int64(window*8/10))),
-			kind: faultCrashCoord,
-			dur:  12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second))),
-		})
-	}
-	// Guaranteed log-medium damage on the warehouse-hosting nodes: one torn
-	// final frame, one bit-flipped boundary frame (see tornCrashEvents).
-	plan = append(plan, tornCrashEvents(rng, window, 2)...)
-	// Guaranteed full-disk-loss + acked-history-rot pairs (see buildPlan).
-	for i := 0; i < cfg.DiskFaults; i++ {
-		plan = append(plan, diskFaultEvents(rng, window, cfg.Nodes)...)
-	}
-	// Guaranteed mid-checkpoint power failures (see buildPlan).
-	plan = append(plan, ckptCrashEvents(rng, window, cfg.Nodes, cfg.CkptFaults)...)
-	for i := 0; i < cfg.Faults; i++ {
-		at := window/10 + time.Duration(rng.Int63n(int64(window*8/10)))
-		switch rng.Intn(8) {
-		case 0:
-			plan = append(plan, faultEvent{at: at, kind: faultCrash, node: rng.Intn(cfg.Nodes),
-				dur: 12*time.Second + time.Duration(rng.Int63n(int64(10*time.Second)))})
-		case 4:
-			plan = append(plan, tornCrash(rng, at, faultCrashTorn, cfg.Nodes))
-		case 5:
-			plan = append(plan, tornCrash(rng, at, faultCrashFlip, cfg.Nodes))
-		case 1:
-			plan = append(plan, faultEvent{at: at, kind: faultDiskStall, node: rng.Intn(cfg.Nodes),
-				disk: rng.Intn(3), extra: time.Duration(2+rng.Intn(8)) * time.Millisecond,
-				dur: time.Duration(3+rng.Intn(5)) * time.Second})
-		case 2:
-			plan = append(plan, faultEvent{at: at, kind: faultNetSpike,
-				extra: time.Duration(1+rng.Intn(4)) * time.Millisecond,
-				dur:   time.Duration(2+rng.Intn(4)) * time.Second})
-		case 3:
-			// Move the last warehouse to the last node.
-			plan = append(plan, faultEvent{at: at, kind: faultMigrate,
-				loK: int64(tcfg.Warehouses), hiK: int64(tcfg.Warehouses) + 1, target: cfg.Nodes - 1})
-		case 6:
-			plan = append(plan, destroyDisk(rng, at, cfg.Nodes))
-		case 7:
-			plan = append(plan, rotAcked(rng, at, cfg.Nodes))
-		}
-	}
-	sort.SliceStable(plan, func(i, j int) bool { return plan[i].at < plan[j].at })
-	return plan
-}
-
-// runner wires the TPC-C harness into the shared fault executor; its
-// migrations move the warehouse range of every partitioned table.
-func (h *tpccHarness) runner() *faultRunner {
-	return &faultRunner{
-		env:      h.env,
-		c:        h.c,
-		rep:      h.rep,
-		logFault: h.logFault,
-		violate:  h.violate,
-		migrate: func(ev faultEvent, done func()) {
-			h.env.Spawn("tpcc-chaos-migrate", func(mp *sim.Proc) {
-				h.logFault("migration w[%d,%d) -> node %d starting", ev.loK, ev.hiK, ev.target)
-				lo, hi := keycodec.Int64Key(ev.loK), keycodec.Int64Key(ev.hiK)
-				failed := false
-				for _, name := range tpcc.PartitionedTables() {
-					if err := h.master.MigrateRange(mp, name, lo, hi, h.c.Nodes[ev.target]); err != nil {
-						h.logFault("migration w[%d,%d) table %s aborted: %v", ev.loK, ev.hiK, name, err)
-						failed = true
-						break
-					}
-				}
-				if !failed {
-					h.logFault("migration w[%d,%d) -> node %d complete", ev.loK, ev.hiK, ev.target)
-				}
-				done()
-			})
-		},
-	}
-}
-
-// checkTableRanges verifies a table's partition table is contiguous and
-// covers the whole key space.
-func (h *tpccHarness) checkTableRanges(name string) {
-	tm, err := h.master.Table(name)
-	if err != nil {
-		h.violate(err.Error())
-		return
-	}
-	entries := tm.Entries()
-	if len(entries) == 0 {
-		h.violate(fmt.Sprintf("%s: partition table empty", name))
-		return
-	}
-	if entries[0].Low != nil {
-		h.violate(fmt.Sprintf("%s: first range does not start at -inf", name))
-	}
-	if entries[len(entries)-1].High != nil {
-		h.violate(fmt.Sprintf("%s: last range does not end at +inf", name))
-	}
-	for i := 1; i < len(entries); i++ {
-		if string(entries[i-1].High) != string(entries[i].Low) {
-			h.violate(fmt.Sprintf("%s: gap/overlap between entry %d and %d", name, i-1, i))
-		}
-	}
-}
-
-func (h *tpccHarness) stateHash(finalState string) string {
-	d := sha256.New()
-	for _, f := range h.rep.Faults {
-		fmt.Fprintln(d, f)
-	}
-	fmt.Fprintf(d, "commits=%d aborts=%d failed=%d failovers=%d now=%d\n",
-		h.rep.Commits, h.rep.Aborts, h.rep.FailedOps, h.rep.Failovers, h.env.Now())
-	fmt.Fprintf(d, "rebuilds=%d scrubs=%d freads=%d disklosses=%d\n",
-		h.rep.Rebuilds, h.rep.ScrubRepairs, h.rep.FollowerReads, h.rep.DiskLosses)
-	fmt.Fprintf(d, "ckpts=%d ckptcrashes=%d bounded=%d replaybytes=%d rto=%d\n",
-		h.rep.Checkpoints, h.rep.CkptCrashes, h.rep.BoundedRestarts, h.rep.ReplayBytes, h.rep.RecoveryTime)
-	fmt.Fprintf(d, "htapq=%d htaprows=%d\n", h.rep.AnalyticsQueries, h.rep.AnalyticsRows)
-	d.Write([]byte(finalState))
-	return fmt.Sprintf("%x", d.Sum(nil))[:16]
 }
 
 // --- Oracle model ------------------------------------------------------------
@@ -687,7 +475,7 @@ func approxEqual(a, b float64) bool {
 
 // finalCheck reads the cluster's end state and verifies every modeled
 // invariant. It returns the canonical state dump for the run hash.
-func (h *tpccHarness) finalCheck() string {
+func (h *tpccWorkload) finalCheck() string {
 	var dump strings.Builder
 	m := h.model
 	h.env.Spawn("tpcc-chaos-final-check", func(p *sim.Proc) {
@@ -795,7 +583,7 @@ func (h *tpccHarness) finalCheck() string {
 // NEW_ORDER contents against the model: acknowledged NewOrders (and only
 // those) exist beyond the loaded range, each with its full line count, and
 // NEW_ORDER holds exactly the undelivered set.
-func (h *tpccHarness) checkDistrictOrders(p *sim.Proc, s *cluster.Session,
+func (h *tpccWorkload) checkDistrictOrders(p *sim.Proc, s *cluster.Session,
 	oS, olS, noS *table.Schema, w, d int64, dump *strings.Builder) {
 	m := h.model
 	O := int64(m.cfg.InitialOrdersPerDist)

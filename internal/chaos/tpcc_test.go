@@ -55,4 +55,9 @@ func TestChaosTPCCDeterministic(t *testing.T) {
 		t.Errorf("run outcome differs: (%d,%d,%v) vs (%d,%d,%v)",
 			r1.Commits, r1.Aborts, r1.SimTime, r2.Commits, r2.Aborts, r2.SimTime)
 	}
+	// Pinned value: a change that moves it changes the simulation and must
+	// say so in CHANGES.md.
+	if want := "9229d8382a806a9b"; r1.StateHash != want {
+		t.Errorf("state hash moved: %s, want %s", r1.StateHash, want)
+	}
 }

@@ -169,16 +169,20 @@ func (c *Cluster) CheckpointNode(p *sim.Proc, n *DataNode, batch int) (Checkpoin
 	return st, nil
 }
 
-// StartCheckpointer spawns n's background checkpoint daemon, taking one fuzzy
-// checkpoint every interval (crashed or rebuild-pending rounds are skipped).
-func (c *Cluster) StartCheckpointer(n *DataNode, interval time.Duration, batch int) {
+// ckptInterval is the background checkpointer's cadence per node.
+const ckptInterval = 2 * time.Second
+
+// StartCheckpointer spawns n's background checkpoint daemon: one fuzzy
+// checkpoint every ckptInterval (crashed, disk-lost or down rounds are
+// skipped) until stop reports true.
+func (c *Cluster) StartCheckpointer(n *DataNode, stop func() bool) {
 	c.Env.Spawn(fmt.Sprintf("ckpt-%d", n.ID), func(p *sim.Proc) {
-		for {
-			p.Sleep(interval)
+		for !stop() {
+			p.Sleep(ckptInterval)
 			if n.crashed || n.diskLost || n.Log.Down() {
 				continue
 			}
-			if _, err := c.CheckpointNode(p, n, batch); err != nil {
+			if _, err := c.CheckpointNode(p, n, defaultCkptBatch); err != nil {
 				return // backend failure: stop checkpointing, never crash the sim
 			}
 		}

@@ -874,35 +874,6 @@ func (c *Cluster) RotEligible(n *DataNode) func(lsn uint64) bool {
 	return func(lsn uint64) bool { return covered[lsn] }
 }
 
-// durableMasterSeq returns the highest master-state sequence in the durable
-// prefix of m's log, tolerating damage: a crashed member's disk is readable
-// stable storage, but may still hold the torn tail or rotted frame its own
-// restart has not truncated yet, so the scan is per-frame and gated on the
-// flushed boundary rather than using the stop-on-error iterator.
-func durableMasterSeq(m *DataNode) uint64 {
-	var max uint64
-	flushed := m.Log.FlushedLSN()
-	m.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		if rec.LSN > flushed {
-			return false
-		}
-		switch rec.Type {
-		case wal.RecMState, wal.RecMLease, wal.RecMAck:
-		case wal.RecDecision:
-			if rec.After == nil {
-				return true
-			}
-		default:
-			return true
-		}
-		if rec.Part > max {
-			max = rec.Part
-		}
-		return true
-	})
-	return max
-}
-
 // ownSalvage is the pre-Restart per-frame read of a crashed node's own
 // damaged log: every durable frame that still decodes, captured before
 // Restart's byte scan truncates at the first damaged frame. Rot on the
@@ -939,8 +910,7 @@ func salvageOwnFrames(n *DataNode) *ownSalvage {
 			if rec.LSN > sv.max {
 				sv.max = rec.LSN
 			}
-		case rec.Type == wal.RecMState || rec.Type == wal.RecMLease || rec.Type == wal.RecMAck,
-			rec.Type == wal.RecDecision && rec.After != nil:
+		case wal.MasterRecord(rec):
 			sv.masterRecs = append(sv.masterRecs, *rec)
 			if rec.Part > sv.masterSeq {
 				sv.masterSeq = rec.Part
@@ -1030,7 +1000,10 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv *ownSalvage) 
 			if m == n || m.diskLost {
 				continue
 			}
-			if s := durableMasterSeq(m); src == nil || s > bestSeq {
+			// A down member's disk may still hold the torn tail or rotted
+			// frame its own restart has not truncated: read only the
+			// flushed prefix.
+			if s := masterSeq(m, m.Log.FlushedLSN()); src == nil || s > bestSeq {
 				src, bestSeq = m, s
 			}
 		}
@@ -1047,17 +1020,10 @@ func (c *Cluster) rebuildFromReplicas(p *sim.Proc, n *DataNode, sv *ownSalvage) 
 				if rec.LSN > flushed {
 					return false
 				}
-				switch rec.Type {
-				case wal.RecMState, wal.RecMLease, wal.RecMAck:
-				case wal.RecDecision:
-					if rec.After == nil {
-						return true // coordinator-local form, not the replicated one
-					}
-				default:
-					return true
+				if wal.MasterRecord(rec) {
+					masterRecs = append(masterRecs, *rec)
+					total += int64(len(frame)) + shipWireOverhead
 				}
-				masterRecs = append(masterRecs, *rec)
-				total += int64(len(frame)) + shipWireOverhead
 				return true
 			})
 			c.Net.Transfer(p, src.ID, n.ID, total)

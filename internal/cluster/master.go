@@ -423,19 +423,6 @@ func (m *Master) BulkLoad(p *sim.Proc, tableName string, next func() (key, paylo
 	return nil
 }
 
-// TableOwners lists the distinct nodes owning live partitions of the table.
-func (tm *TableMeta) TableOwners() []*DataNode {
-	seen := map[*DataNode]bool{}
-	var out []*DataNode
-	for _, e := range tm.entries {
-		if !seen[e.Owner] {
-			seen[e.Owner] = true
-			out = append(out, e.Owner)
-		}
-	}
-	return out
-}
-
 // RecordCount sums visible records across a table's partitions (testing).
 func (m *Master) RecordCount(p *sim.Proc, tableName string) (int, error) {
 	tm, err := m.Table(tableName)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -442,33 +443,29 @@ func (m *Master) tryElect(reviving *DataNode) {
 	if len(live)*2 <= len(r.group) {
 		return // no majority: stay fenced until more replicas restart
 	}
-	best, bestSeq := live[0], maxMasterSeq(live[0])
+	// A crashed candidate has been through Log.Restart, so its whole log is
+	// exactly its durable records.
+	best, bestSeq := live[0], masterSeq(live[0], math.MaxUint64)
 	for _, n := range live[1:] {
-		if s := maxMasterSeq(n); s > bestSeq {
+		if s := masterSeq(n, math.MaxUint64); s > bestSeq {
 			best, bestSeq = n, s
 		}
 	}
 	m.electFrom(best)
 }
 
-// maxMasterSeq returns the highest master-state sequence in n's log
-// (election comparison; a crashed candidate has been through Log.Restart,
-// so the scan covers exactly its durable records). The scan is per-frame
-// so a rotted acked data frame the scrubber has not reached yet cannot
-// hide the master records appended after it.
-func maxMasterSeq(n *DataNode) uint64 {
+// masterSeq returns the highest master-state sequence among n's records at
+// or below LSN limit. The scan is per-frame, so a rotted acked data frame
+// the scrubber has not reached yet — or, on a crashed member's disk, a torn
+// tail its own restart has not truncated — cannot hide the master records
+// behind it.
+func masterSeq(n *DataNode, limit uint64) uint64 {
 	var max uint64
 	n.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		switch rec.Type {
-		case wal.RecMState, wal.RecMLease, wal.RecMAck:
-		case wal.RecDecision:
-			if rec.After == nil {
-				return true
-			}
-		default:
-			return true
+		if rec.LSN > limit {
+			return false
 		}
-		if rec.Part > max {
+		if wal.MasterRecord(rec) && rec.Part > max {
 			max = rec.Part
 		}
 		return true
@@ -490,13 +487,8 @@ func (m *Master) electFrom(candidate *DataNode) {
 	// frame the scrubber has not repaired yet; the master records past it
 	// must still be replayed.
 	candidate.Log.VisitFrames(func(rec *wal.Record, frame []byte) bool {
-		switch rec.Type {
-		case wal.RecMState, wal.RecMLease, wal.RecMAck:
+		if wal.MasterRecord(rec) {
 			recs = append(recs, *rec)
-		case wal.RecDecision:
-			if rec.After != nil { // replicated decisions carry participants
-				recs = append(recs, *rec)
-			}
 		}
 		return true
 	})

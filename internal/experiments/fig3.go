@@ -143,15 +143,7 @@ func Fig3(records int, ratios []int, seed int64) (Fig3Result, error) {
 		// raw flush-everything checkpoint LSN.
 		for _, n := range []*cluster.DataNode{c.Nodes[0], c.Nodes[1]} {
 			n.StartVacuum(2 * time.Second)
-			node := n
-			env.Spawn("checkpointer", func(p *sim.Proc) {
-				for !moveDone {
-					p.Sleep(2 * time.Second)
-					if _, err := c.CheckpointNode(p, node, 0); err != nil {
-						return
-					}
-				}
-			})
+			c.StartCheckpointer(n, func() bool { return moveDone })
 		}
 		var moveTook time.Duration
 		var moveErr error

@@ -40,12 +40,6 @@ func (n *Network) AddNode(nodeID int) {
 	}
 }
 
-// TransferTime returns the unloaded wire time for a payload of the given size.
-func (n *Network) TransferTime(bytes int64) time.Duration {
-	wire := time.Duration(float64(bytes+int64(n.cal.NetFrameSize)) / n.cal.NetBandwidth * float64(time.Second))
-	return n.cal.NetLatency + wire
-}
-
 // Transfer ships bytes from node from to node to, blocking p for the queueing
 // plus wire time. Transfers between a node and itself are free (records move
 // through main memory, Sect. 3.3).
@@ -76,9 +70,6 @@ func (n *Network) SetExtraDelay(d time.Duration) {
 	}
 	n.extraDelay = d
 }
-
-// ExtraDelay returns the currently injected latency spike.
-func (n *Network) ExtraDelay() time.Duration { return n.extraDelay }
 
 // BytesSent returns the cumulative bytes sent by the node's uplink.
 func (n *Network) BytesSent(nodeID int) int64 {

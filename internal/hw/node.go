@@ -69,12 +69,6 @@ func NewNode(env *sim.Env, id int, cal Calibration, net *Network) *Node {
 	return n
 }
 
-// Cal returns the node's calibration.
-func (n *Node) Cal() Calibration { return n.cal }
-
-// Env returns the simulation environment.
-func (n *Node) Env() *sim.Env { return n.env }
-
 // State returns the node's current power state.
 func (n *Node) State() PowerState { return n.state }
 
@@ -152,22 +146,6 @@ func (n *Node) CPUUtilization() float64 {
 		return 0
 	}
 	u := du / (dt * float64(n.cal.Cores))
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// PeekCPUUtilization returns utilisation over the window since the last
-// CPUUtilization call without resetting the window.
-func (n *Node) PeekCPUUtilization() float64 {
-	now := n.env.Now()
-	busy := n.CPU.BusyIntegral()
-	dt := (now - n.lastSample).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	u := (busy - n.lastCPUBusy) / (dt * float64(n.cal.Cores))
 	if u > 1 {
 		u = 1
 	}

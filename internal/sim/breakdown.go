@@ -62,13 +62,3 @@ func (b *Breakdown) Total() time.Duration {
 	}
 	return t
 }
-
-// AddAll merges other into b.
-func (b *Breakdown) AddAll(other *Breakdown) {
-	for i, d := range other.buckets {
-		b.buckets[i] += d
-	}
-}
-
-// Reset zeroes all buckets.
-func (b *Breakdown) Reset() { b.buckets = [numCategories]time.Duration{} }

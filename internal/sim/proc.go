@@ -45,12 +45,6 @@ type Proc struct {
 	Breakdown *Breakdown
 }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 

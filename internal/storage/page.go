@@ -191,13 +191,3 @@ func (p Page) compact() {
 	p.setCellStart(end)
 	p.setFrag(0)
 }
-
-// UsedBytes returns the bytes consumed by the header, slots, and live cells.
-func (p Page) UsedBytes() int {
-	used := pageHeaderSize + p.NumSlots()*slotSize
-	for i := 0; i < p.NumSlots(); i++ {
-		_, ln := p.slot(i)
-		used += ln
-	}
-	return used
-}

@@ -113,11 +113,6 @@ func (s *Segment) Page(no PageNo) Page {
 	return p
 }
 
-// Allocated reports whether page no holds data.
-func (s *Segment) Allocated(no PageNo) bool {
-	return int(no) < len(s.pages) && s.pages[no] != nil
-}
-
 // Clone deep-copies the segment, including page bytes and key bounds. Used
 // when a segment is shipped to another node: the receiver gets an
 // independent copy while the sender retains the original for in-flight
@@ -140,16 +135,4 @@ func (s *Segment) Clone(newID SegID) *Segment {
 		}
 	}
 	return c
-}
-
-// UsedBytes sums live cell bytes across allocated pages (storage-footprint
-// metric for Fig. 3).
-func (s *Segment) UsedBytes() int64 {
-	var total int64
-	for no := PageNo(1); no < s.next; no++ {
-		if s.pages[no] != nil {
-			total += int64(Page(s.pages[no]).UsedBytes())
-		}
-	}
-	return total
 }

@@ -208,9 +208,6 @@ func NewPartition(id PartID, schema *Schema, scheme Scheme, low, high []byte, de
 	return pt
 }
 
-// Deps returns the partition's dependency bundle.
-func (pt *Partition) Deps() *Deps { return &pt.deps }
-
 // Fail marks the partition dead after its node power-failed, wiping the
 // volatile transaction state (staged writes; version chains and the buffer
 // contents die with the node's DRAM). The partition object stays routable so
@@ -241,9 +238,6 @@ func (pt *Partition) RaiseHistoryFloor(ts cc.Timestamp) {
 		pt.histFloor = ts
 	}
 }
-
-// HistoryFloor returns the snapshot-serving horizon (0: full history).
-func (pt *Partition) HistoryFloor() cc.Timestamp { return pt.histFloor }
 
 // tooOld rejects snapshot reads below the recovery horizon. Locking-mode
 // readers are exempt: they read the current committed state straight from the

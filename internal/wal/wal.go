@@ -706,6 +706,20 @@ func Shippable(t RecType) bool {
 	return true
 }
 
+// MasterRecord reports whether rec belongs to the replicated coordinator
+// stream: master-state snapshots, lease ceilings, decision acks, and the
+// replicated form of a commit decision (it carries the participant list; the
+// coordinator-local form has no After payload).
+func MasterRecord(rec *Record) bool {
+	switch rec.Type {
+	case RecMState, RecMLease, RecMAck:
+		return true
+	case RecDecision:
+		return rec.After != nil
+	}
+	return false
+}
+
 // Down reports whether the log's node is power-failed.
 func (l *Log) Down() bool { return l.down }
 
